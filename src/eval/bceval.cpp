@@ -101,11 +101,61 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
   enum class EnterAction { Chained, Return, Blocked };
   auto enter_chain = [&](Obj* entered) -> EnterAction {
     Obj* p = follow(entered);
-    if (kind_acquire(p) == ObjKind::BlackHole ||
-        kind_acquire(p) == ObjKind::Placeholder)
+    const ObjKind seen = kind_acquire(p);
+    if (seen == ObjKind::BlackHole || seen == ObjKind::Placeholder)
       sched_hook::point(SchedPoint::BlackHoleEnter, t.id);
     else
       sched_hook::point(SchedPoint::ThunkEnter, t.id);
+    // Values are entered without the lock, as in eval.cpp: a WHNF kind
+    // cannot change before the next stop-the-world GC.
+    if (seen == ObjKind::Int || seen == ObjKind::Con || seen == ObjKind::Pap) {
+      t.code.mode = CodeMode::Ret;
+      t.code.ptr = p;
+      // Exactly-saturating generic apply of a bare global closure with
+      // a compiled body: bind the arguments and jump, skipping the
+      // Ret/Apply bounce (the shared FrameKind::Apply transition still
+      // handles under/over-saturation and uncompiled bodies).
+      if (seen == ObjKind::Pap && !t.stack.empty() &&
+          t.stack.back().kind == FrameKind::Apply) {
+        Frame& af = t.stack.back();
+        const GlobalId fun = p->pap_fun();
+        const Global& g = prog_.global(fun);
+        const std::uint32_t have = p->pap_nargs();
+        const auto given = static_cast<std::uint32_t>(af.ptrs.size());
+        const std::uint32_t entry =
+            blob.entries[static_cast<std::size_t>(g.body)];
+        if (have + given == static_cast<std::uint32_t>(g.arity) &&
+            entry != bc::kNoEntry) {
+          env.clear();
+          env.reserve(g.arity);
+          for (std::uint32_t i = 0; i < have; ++i)
+            env.push_back(p->ptr_payload()[1 + i]);
+          for (std::uint32_t i = 0; i < given; ++i)
+            env.push_back(af.ptrs[i]);
+          t.stack.pop_back();
+          t.code.mode = CodeMode::Eval;
+          t.code.expr = g.body;
+          t.code.ptr = nullptr;
+          pc = entry;
+          return EnterAction::Chained;
+        }
+      }
+      // A value returning into a suspended bytecode block: restore it.
+      if (!t.stack.empty() &&
+          t.stack.back().kind == FrameKind::Bytecode) {
+        Frame& bf = t.stack.back();
+        env = std::move(bf.env);
+        sk = std::move(bf.ptrs);
+        sk.push_back(p);
+        pc = static_cast<std::uint32_t>(bf.aux);
+        t.code.expr = bf.expr;
+        t.stack.pop_back();
+        t.code.mode = CodeMode::Eval;
+        t.code.ptr = nullptr;
+        return EnterAction::Chained;
+      }
+      return EnterAction::Return;
+    }
     auto lk = lock_obj(p);
     switch (p->kind) {
       case ObjKind::Thunk: {
@@ -131,56 +181,6 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
         }
         return EnterAction::Return;  // interpreter body: next step runs it
       }
-      case ObjKind::Int:
-      case ObjKind::Con:
-      case ObjKind::Pap: {
-        t.code.mode = CodeMode::Ret;
-        t.code.ptr = p;
-        // Exactly-saturating generic apply of a bare global closure with
-        // a compiled body: bind the arguments and jump, skipping the
-        // Ret/Apply bounce (the shared FrameKind::Apply transition still
-        // handles under/over-saturation and uncompiled bodies).
-        if (p->kind == ObjKind::Pap && !t.stack.empty() &&
-            t.stack.back().kind == FrameKind::Apply) {
-          Frame& af = t.stack.back();
-          const GlobalId fun = p->pap_fun();
-          const Global& g = prog_.global(fun);
-          const std::uint32_t have = p->pap_nargs();
-          const auto given = static_cast<std::uint32_t>(af.ptrs.size());
-          const std::uint32_t entry =
-              blob.entries[static_cast<std::size_t>(g.body)];
-          if (have + given == static_cast<std::uint32_t>(g.arity) &&
-              entry != bc::kNoEntry) {
-            env.clear();
-            env.reserve(g.arity);
-            for (std::uint32_t i = 0; i < have; ++i)
-              env.push_back(p->ptr_payload()[1 + i]);
-            for (std::uint32_t i = 0; i < given; ++i)
-              env.push_back(af.ptrs[i]);
-            t.stack.pop_back();
-            t.code.mode = CodeMode::Eval;
-            t.code.expr = g.body;
-            t.code.ptr = nullptr;
-            pc = entry;
-            return EnterAction::Chained;
-          }
-        }
-        // A value returning into a suspended bytecode block: restore it.
-        if (!t.stack.empty() &&
-            t.stack.back().kind == FrameKind::Bytecode) {
-          Frame& bf = t.stack.back();
-          env = std::move(bf.env);
-          sk = std::move(bf.ptrs);
-          sk.push_back(p);
-          pc = static_cast<std::uint32_t>(bf.aux);
-          t.code.expr = bf.expr;
-          t.stack.pop_back();
-          t.code.mode = CodeMode::Eval;
-          t.code.ptr = nullptr;
-          return EnterAction::Chained;
-        }
-        return EnterAction::Return;
-      }
       case ObjKind::BlackHole:
       case ObjKind::Placeholder:
         t.code.ptr = p;
@@ -190,6 +190,9 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
         // Raced with an update after follow(): retry next step.
         t.code.ptr = p;
         return EnterAction::Return;
+      case ObjKind::Int:  // values were handled above
+      case ObjKind::Con:
+      case ObjKind::Pap:
       case ObjKind::Fwd:
         break;
     }

@@ -280,6 +280,7 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
     // =====================================================================
     case CodeMode::Enter: {
       Obj* p = follow(t.code.ptr);
+      const ObjKind seen = kind_acquire(p);
       // Yield points in the entry window: between observing the object and
       // locking it, another thread may enter/update/black-hole the same
       // thunk (the duplicate-work race of §IV.A.3), or update the black
@@ -287,23 +288,24 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
       // a serialised scenario thread must never park holding a stripe
       // lock, or the schedule controller could grant a thread that then
       // blocks on that lock outside the controller's sight.
-      if (kind_acquire(p) == ObjKind::BlackHole ||
-          kind_acquire(p) == ObjKind::Placeholder)
+      if (seen == ObjKind::BlackHole || seen == ObjKind::Placeholder)
         sched_hook::point(SchedPoint::BlackHoleEnter, t.id);
       else
         sched_hook::point(SchedPoint::ThunkEnter, t.id);
+      // A value is entered without the lock: Int/Con/Pap never change
+      // kind before the next stop-the-world GC, and no other kind becomes
+      // one (updates leave an Ind), so the kind seen above still holds.
+      if (seen == ObjKind::Int || seen == ObjKind::Con || seen == ObjKind::Pap) {
+        t.code.mode = CodeMode::Ret;
+        t.code.ptr = p;
+        return StepOutcome::Ok;
+      }
       // Serialise the entry transition against concurrent updates /
       // black-holing when a threaded driver is active (no-op otherwise);
       // the kind may have changed between follow() and acquiring the lock,
       // so the dispatch below re-reads it under the lock.
       auto lk = lock_obj(p);
       switch (p->kind) {
-        case ObjKind::Int:
-        case ObjKind::Con:
-        case ObjKind::Pap:
-          t.code.mode = CodeMode::Ret;
-          t.code.ptr = p;
-          return StepOutcome::Ok;
         case ObjKind::Thunk: {
           const ExprId body = p->thunk_expr();
           Env env(p->ptr_payload() + 1, p->ptr_payload() + p->size);
@@ -335,6 +337,9 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
           // Raced with an update after follow(): retry next step.
           t.code.ptr = p;
           return StepOutcome::Ok;
+        case ObjKind::Int:  // values were handled above
+        case ObjKind::Con:
+        case ObjKind::Pap:
         case ObjKind::Fwd:
           break;
       }

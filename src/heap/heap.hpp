@@ -276,6 +276,18 @@ class Heap {
     return w >= nursery_base_ && w < nursery_base_ + nursery_slab_words_;
   }
 
+  /// The nursery holding `p`, or kNoNursery for old-generation and static
+  /// objects. A pure function of the address (the nursery slab never
+  /// moves), cheap enough for Machine::lock_obj's bank choice.
+  static constexpr std::uint32_t kNoNursery = ~std::uint32_t{0};
+  std::uint32_t nursery_of(const Obj* p) const {
+    const std::uintptr_t off = (reinterpret_cast<std::uintptr_t>(p) -
+                                reinterpret_cast<std::uintptr_t>(nursery_base_)) /
+                               sizeof(Word);
+    if (off >= nursery_slab_words_) return kNoNursery;
+    return static_cast<std::uint32_t>(off / cfg_.nursery_words);
+  }
+
   /// True if `p` points into the static arena (immortal objects). Linear
   /// in the number of static blocks — fine for auditing, not for hot paths
   /// (mutators use the kFlagStatic header bit instead).
@@ -321,7 +333,10 @@ class Heap {
   // classifies "young" pointers.
   Word* nursery_base_ = nullptr;
   std::size_t nursery_slab_words_ = 0;
-  struct Nursery {
+  // Each nursery's bump pointer and counter are written on every
+  // allocation by its capability: a cache line of its own keeps that
+  // traffic off the neighbouring capability's line.
+  struct alignas(64) Nursery {
     Word* ptr = nullptr;
     Word* start = nullptr;
     Word* end = nullptr;

@@ -414,12 +414,15 @@ void Machine::block_on(Obj* obj, Tso& t) {
 }
 
 void Machine::wake_queue_of(Obj* obj) {
+  // The caller holds obj's transition lock, under which block_on also
+  // writes the slot, so the slot cannot change under us: an update with
+  // no waiter (nearly all of them) never touches wait_mutex_.
+  const std::uint32_t slot = queue_slot(obj);
+  const Word qi = obj->payload()[slot];
+  if (qi == kNoQueue) return;
   std::vector<ThreadId> waiters;
   {
     std::lock_guard<std::mutex> lock(wait_mutex_);
-    const std::uint32_t slot = queue_slot(obj);
-    Word qi = obj->payload()[slot];
-    if (qi == kNoQueue) return;
     WaitQueue& q = wait_queues_.at(static_cast<std::size_t>(qi));
     waiters.swap(q.waiters);
     q.in_use = false;
@@ -619,13 +622,27 @@ void Machine::walk_tso(Gc& gc, Tso& t) {
   if (t.result != nullptr) gc.evacuate(t.result);
 }
 
+namespace {
+/// Is the spark target `p` already a value? Another GC worker may be
+/// CASing the same header or rewriting an Ind's target word (see
+/// Gc::evacuate_par), so both are read the way evacuate_par reads them:
+/// the whole header word with acquire, the Ind target through atomic_ref.
+bool spark_target_whnf(Obj* p) {
+  for (;;) {
+    const Obj hd = unpack_header(header_word(p).load(std::memory_order_acquire));
+    if (hd.kind != ObjKind::Ind) return hd.is_whnf();
+    p = std::atomic_ref<Obj*>(p->ptr_payload()[0]).load(std::memory_order_acquire);
+  }
+}
+}  // namespace
+
 void Machine::walk_cap_sparks(Gc& gc, Capability& c) {
   if (cfg_.gc_prune_sparks) {
     // GHC's pruneSparkQueue: drop sparks whose target is already in
     // WHNF (they would only fizzle later) and keep the rest, evacuated.
     std::vector<Obj*> keep;
     while (auto s = c.sparks_.pop()) {
-      if (follow(*s)->is_whnf()) {
+      if (spark_target_whnf(*s)) {
         c.spark_stats().pruned++;
         continue;
       }

@@ -62,6 +62,11 @@ struct SparkStats {
 
 class Machine;
 
+/// A bank of striped object-transition locks (Machine::lock_obj). Each
+/// capability owns one for the objects in its nursery; the Machine owns a
+/// shared one for old-generation and static objects.
+using LockBank = std::array<std::mutex, 64>;
+
 class Capability {
  public:
   Capability(Machine& m, std::uint32_t id, std::uint32_t spark_capacity)
@@ -116,6 +121,12 @@ class Capability {
   mutable std::mutex rq_mutex_;
   WsDeque<Obj*> sparks_;
   SparkStats spark_stats_;
+  // The lock bank sits between two line-sized pads, so the other
+  // capabilities' writes (steals, wakeups, their own banks) never share
+  // a cache line with it.
+  [[maybe_unused]] char pad_before_[64];
+  LockBank locks_;
+  [[maybe_unused]] char pad_after_[64];
 };
 
 struct MachineStats {
@@ -244,6 +255,8 @@ class Machine {
   Obj* caf_cell(GlobalId g);                 // updatable 0-arity global cell
 
   // --- black-hole / placeholder wait queues -----------------------------------
+  // A black hole's or placeholder's queue slot is read and written only
+  // under the object's lock_obj stripe, which every caller holds.
   void block_on(Obj* bh_or_ph, Tso& t);
   void wake_queue_of(Obj* obj);  // wakes + frees the queue of obj (if any)
   /// Performs a thunk update: target becomes an indirection to value,
@@ -298,10 +311,17 @@ class Machine {
   void set_concurrent(bool on) { concurrent_ = on; }
   bool concurrent() const { return concurrent_; }
   /// Locks the transition stripe for `o` (no-op lock when not concurrent).
+  /// An object in a capability's nursery takes its stripe from that
+  /// capability's bank, so a capability entering and updating the thunks
+  /// it allocated touches only its own lock lines; old-generation and
+  /// static objects use the shared bank. The choice is a pure function of
+  /// the address, which only a stop-the-world collection changes.
   std::unique_lock<std::mutex> lock_obj(Obj* o) {
     if (!concurrent_) return std::unique_lock<std::mutex>();
-    const std::size_t h = (reinterpret_cast<std::uintptr_t>(o) >> 4) % kStripes;
-    return std::unique_lock<std::mutex>(stripes_[h]);
+    const std::uint32_t nid = heap_->nursery_of(o);
+    LockBank& bank = nid == Heap::kNoNursery ? shared_locks_ : caps_[nid]->locks_;
+    const std::size_t h = (reinterpret_cast<std::uintptr_t>(o) >> 4) % bank.size();
+    return std::unique_lock<std::mutex>(bank[h]);
   }
 
   /// Aggregated spark stats over all capabilities.
@@ -344,8 +364,7 @@ class Machine {
   std::mutex steal_mutex_;
   std::uint32_t steal_rr_ = 0;
 
-  static constexpr std::size_t kStripes = 64;
-  std::array<std::mutex, kStripes> stripes_;
+  LockBank shared_locks_;  // lock_obj stripes for old-generation and static objects
   bool concurrent_ = false;
   FaultInjector* fault_ = nullptr;
   CancelFn cancel_;

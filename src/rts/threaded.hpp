@@ -2,11 +2,13 @@
 // "real parallelism" configuration of the paper's §III.A (lightweight
 // Haskell threads multiplexed onto heavyweight OS threads).
 //
-// This driver demonstrates that the runtime's data structures (Chase–Lev
-// spark deques, striped thunk-transition locks, the stop-the-world GC
-// barrier) are truly concurrent; the *measured* figures come from the
-// deterministic virtual-time driver in src/sim, because this repository
-// targets a single-core host (see DESIGN.md §2).
+// The runtime's data structures (Chase–Lev spark deques, striped
+// thunk-transition locks in per-capability banks, the stop-the-world GC
+// barrier) are truly concurrent here, so this driver is both the test
+// suite's check of true parallel mutation and the source of the
+// real-core GpH wall-clock and speedup numbers (perfbench's
+// gph_sumeuler). The paper-shape figures still come from the
+// deterministic virtual-time driver in src/sim (see DESIGN.md §2).
 //
 // GC protocol: when any capability fails to allocate it requests a
 // collection; every worker parks at its next safe point; the last to park

@@ -180,6 +180,93 @@ TEST(SchedSerial, BlackHoleEntryOrderReplaysFromSeed) {
       << "black-hole entry order never flipped across 24 seeds";
 }
 
+// --- an update racing an entry, in each lock bank --------------------------
+// t1 on cap 0 has claimed (eagerly black-holed) a thunk and evaluates it
+// through to its update while t2 on cap 1 enters the same object. Under
+// the object's lock either t2 blocks first — the update then finds the
+// queue slot set and must wake it — or the update finds the slot empty,
+// skips the wait-queue lock, and t2 then sees the value. The thunk lives
+// in cap 0's nursery, in cap 1's nursery or in the old generation, so the
+// owner's bank, the entrant's bank and the shared bank each guard it.
+
+enum class ThunkHome { Nursery0, Nursery1, Old };
+
+std::string update_race_once(SchedController& c, ThunkHome home) {
+  Rig r(nullptr, config_worksteal_eagerbh(2));
+  Obj* th = make_apply_thunk(*r.m, home == ThunkHome::Nursery1 ? 1 : 0,
+                             r.prog.find("plus"),
+                             {make_int(*r.m, 0, 20), make_int(*r.m, 0, 22)});
+  Tso* t1 = r.m->spawn_enter(th, 0, /*enqueue=*/false);
+  Tso* t2 = r.m->spawn_enter(th, 1, /*enqueue=*/false);
+  if (home == ThunkHome::Old) r.m->collect();  // promoted; the TSOs root it
+  th = t1->code.ptr;
+  const Heap& h = r.m->heap();
+  switch (home) {
+    case ThunkHome::Nursery0: EXPECT_EQ(h.nursery_of(th), 0u); break;
+    case ThunkHome::Nursery1: EXPECT_EQ(h.nursery_of(th), 1u); break;
+    case ThunkHome::Old:
+      EXPECT_TRUE(h.in_old(th));
+      EXPECT_EQ(h.nursery_of(th), Heap::kNoNursery);
+      break;
+  }
+  r.m->set_concurrent(true);
+  // t1's first step claims the thunk before the arena opens.
+  EXPECT_EQ(r.m->step(r.m->cap(0), *t1), StepOutcome::Ok);
+  EXPECT_EQ(th->kind, ObjKind::BlackHole);
+  StepOutcome o1{}, o2{};
+  std::thread w1([&] {
+    SchedArena a(c, 0);
+    do o1 = r.m->step(r.m->cap(0), *t1);
+    while (o1 == StepOutcome::Ok);
+  });
+  std::thread w2([&] {
+    SchedArena a(c, 1);
+    do o2 = r.m->step(r.m->cap(1), *t2);
+    while (o2 == StepOutcome::Ok);
+  });
+  w1.join();
+  w2.join();
+  EXPECT_EQ(o1, StepOutcome::Finished);
+  EXPECT_EQ(read_int(t1->result), 42);
+  const bool blocked = o2 == StepOutcome::Blocked;
+  if (blocked) {
+    // The update must have woken t2 onto its own capability.
+    EXPECT_EQ(t2->state, ThreadState::Runnable);
+    EXPECT_EQ(r.m->cap(1).pop_thread(), t2);
+    do o2 = r.m->step(r.m->cap(1), *t2);
+    while (o2 == StepOutcome::Ok);
+  }
+  r.m->set_concurrent(false);
+  EXPECT_EQ(o2, StepOutcome::Finished);
+  EXPECT_EQ(read_int(t2->result), 42);
+  for (ThreadId i = 0; i < r.m->tso_count(); ++i) {
+    const ThreadState s = r.m->tso(i)->state;
+    EXPECT_NE(s, ThreadState::BlockedOnBlackHole) << "tso " << i << " left blocked";
+  }
+  EXPECT_EQ(r.m->cap(0).n_blocked.load() + r.m->cap(1).n_blocked.load(), 0u);
+  EXPECT_EQ(r.m->stats().blocked_on_blackhole, blocked ? 1u : 0u);
+  r.m->sanity_check("update race");
+  return blocked ? "t2-woken" : "t2-saw-value";
+}
+
+TEST(SchedSerial, UpdateRacingEntryInEachLockBank) {
+  for (ThunkHome home : {ThunkHome::Nursery0, ThunkHome::Nursery1, ThunkHome::Old}) {
+    std::set<std::string> outcomes;
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      SchedPlan p;
+      p.strategy = SchedPlan::Strategy::Random;
+      p.serial = true;
+      p.seed = seed;
+      p.schedules = 1;
+      SchedController c(p);
+      c.explore(2, [&] { outcomes.insert(update_race_once(c, home)); });
+    }
+    EXPECT_EQ(outcomes.size(), 2u)
+        << "thunk home " << static_cast<int>(home)
+        << ": only one order of update and entry in 24 seeds";
+  }
+}
+
 // --- perturb mode over the full threaded driver ----------------------------
 
 std::uint64_t stress_seed() {

@@ -1,7 +1,7 @@
 // The OS-thread driver: real concurrent execution of the same runtime.
 // These tests verify correctness (results, GC barrier, deadlock
-// detection) under true parallel mutation — the performance figures come
-// from the virtual-time driver instead (see DESIGN.md §2).
+// detection) under true parallel mutation; the paper-shape figures come
+// from the virtual-time driver (see DESIGN.md §2).
 #include <gtest/gtest.h>
 
 #include "progs/sumeuler.hpp"

@@ -3,6 +3,8 @@
 // workloads. Purely about correctness under true parallelism.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "progs/all.hpp"
 #include "rig.hpp"
 #include "rts/threaded.hpp"
@@ -78,8 +80,16 @@ std::vector<StressPoint> stress_grid() {
   std::vector<StressPoint> out;
   for (int w = 0; w < 4; ++w)
     for (WorkPolicy wp : {WorkPolicy::PushOnPoll, WorkPolicy::Steal})
-      for (BlackholePolicy bh : {BlackholePolicy::Lazy, BlackholePolicy::Eager})
-        out.push_back(StressPoint{w, wp, bh});
+      for (BlackholePolicy bh : {BlackholePolicy::Lazy, BlackholePolicy::Eager}) {
+        // The test name prints every byte of the point, padding included:
+        // zero it, or stray stack bytes rename the test from build to build.
+        StressPoint p;
+        std::memset(&p, 0, sizeof p);
+        p.workload = w;
+        p.work = wp;
+        p.bh = bh;
+        out.push_back(p);
+      }
   return out;
 }
 

@@ -2,10 +2,15 @@
 # Sanitizer stress job for the schedule-exploration harness, the parallel
 # GC and the real-time Eden driver.
 #
-# Builds the tree with PARHASK_SANITIZE=thread and runs three labelled
+# Builds the tree with PARHASK_SANITIZE=thread and runs these labelled
 # suites under many random schedules:
-#   schedtest — Chase-Lev deque races, black-hole entry ordering, perturbed
-#               full ThreadedDriver runs;
+#   schedtest — Chase-Lev deque races, black-hole entry ordering, an update
+#               racing an entry in each lock bank, perturbed full
+#               ThreadedDriver runs;
+#   threaded  — GpH on the OS-thread driver: every policy on 4 capabilities,
+#               the stress grid under constant GC barriers (parallel GC and
+#               spark pruning included), shared-thunk races and deadlock
+#               detection;
 #   gc        — the parallel-GC torture suite (random graphs vs the
 #               sequential oracle, evacuation CAS-race exploration, the
 #               ThreadedDriver hammer with frequent team collections);
@@ -67,10 +72,10 @@ for ((i = 0; i < iterations; ++i)); do
   seed=$((base_seed + i))
   echo "=== tsan_stress: seed $seed ($((i + 1))/$iterations) ==="
   if ! (cd "$build_dir" && PARHASK_SCHED_SEED=$seed \
-        ctest -L 'schedtest|gc|eden_rt|chaos|serving|bytecode' --output-on-failure); then
+        ctest -L 'schedtest|threaded|gc|eden_rt|chaos|serving|bytecode' --output-on-failure); then
     echo "tsan_stress: FAILURE at PARHASK_SCHED_SEED=$seed" >&2
     echo "reproduce with:" >&2
-    echo "  cd $build_dir && PARHASK_SCHED_SEED=$seed ctest -L 'schedtest|gc|eden_rt|chaos|serving|bytecode' --output-on-failure" >&2
+    echo "  cd $build_dir && PARHASK_SCHED_SEED=$seed ctest -L 'schedtest|threaded|gc|eden_rt|chaos|serving|bytecode' --output-on-failure" >&2
     fail=1
     break
   fi
