@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "net/transport.hpp"
+#include "sim/sim_driver.hpp"
 
 namespace ph {
 
@@ -918,13 +919,12 @@ EdenSimResult EdenSimDriver::run(Tso* root) {
 bool EdenSimDriver::pe_slice(std::uint32_t pi, Tso* root) {
   Machine& m = sys_.pe(pi);
   Capability& c = m.cap(0);
-  PeState& ps = pes_[pi];
-  const RtsConfig& cfg = m.config();
+  Quantum& q = pes_[pi];
   const std::uint32_t core = core_of(pi);
 
   if (m.heap().gc_requested()) collect_pe(pi);
 
-  if (ps.active == nullptr) {
+  if (q.active == nullptr) {
     Tso* t = m.schedule_next(c);
     if (t != nullptr && t->start_time > core_time_[core]) {
       // Not yet instantiated (process-creation latency): requeue.
@@ -932,99 +932,44 @@ bool EdenSimDriver::pe_slice(std::uint32_t pi, Tso* root) {
       return false;
     }
     if (t == nullptr) return false;
-    ps.active = t;
+    q.active = t;
     t->state = ThreadState::Running;
     charge(pi, cost_.context_switch + (t->steps == 0 ? cost_.thread_create : 0),
            CapState::Sync);
     return true;
   }
 
-  Tso* t = ps.active;
+  Tso* const t = q.active;
   const std::uint64_t start = core_time_[core];
-  std::uint64_t elapsed = 0;
-  auto end_run_segment = [&]() {
-    if (trace_ != nullptr) trace_->record(pi, start, start + elapsed, CapState::Run);
-    core_time_[core] = start + elapsed;
-  };
+  SimStepCharge hook(m, c, cost_, /*barrier=*/false);
+  const QuantumEnd end = m.run_quantum(c, q, root, cost_.sim_slice_steps, hook);
+  if (trace_ != nullptr) trace_->record(pi, start, start + hook.elapsed, CapState::Run);
+  core_time_[core] = start + hook.elapsed;
 
-  const std::uint32_t budget =
-      std::min<std::uint32_t>(cost_.sim_slice_steps, cfg.quantum_steps - ps.quantum_used);
-  for (std::uint32_t steps = 0; steps < budget; ++steps) {
-    ps.quantum_used++;
-    const std::uint64_t debt_before = c.alloc_debt;
-    const StepOutcome out = m.step(c, *t);
-    elapsed += cost_.step;
-    if (c.alloc_debt > debt_before)
-      elapsed += ((c.alloc_debt - debt_before) * cost_.alloc_per_4words) / 4;
-    if (c.alloc_debt >= cfg.alloc_check_words) c.alloc_debt = 0;
-
-    switch (out) {
-      case StepOutcome::Ok:
-        if (ps.oom_tso != nullptr) {
-          ps.oom_tso = nullptr;  // progress: the allocation went through
-          ps.oom_streak = 0;
-        }
-        continue;
-      case StepOutcome::NeedGc: {
-        // Distributed heap: collect immediately and locally — no barrier,
-        // no other PE is disturbed (§VI.A). Consecutive failures from the
-        // same thread escalate: normal GC, forced major GC, then unwind
-        // only the victim with HeapOverflow.
-        if (ps.oom_tso == t) ps.oom_streak++;
-        else { ps.oom_tso = t; ps.oom_streak = 1; }
-        end_run_segment();
-        if (ps.oom_streak >= 3) {
-          m.kill_thread(c, *t, "heap overflow");
-          result_.heap_overflows++;
-          sys_.injector_.stats().heap_overflows++;
-          sys_.note(pi, core_time_[core],
-                    "heap overflow: unwound tso " + std::to_string(t->id));
-          ps.oom_tso = nullptr;
-          ps.oom_streak = 0;
-          ps.active = nullptr;
-          ps.quantum_used = 0;
-          if (t == root) {
-            done_ = true;
-            return true;
-          }
-          charge(pi, cost_.context_switch, CapState::Sync);
-          return true;
-        }
-        collect_pe(pi, /*force_major=*/ps.oom_streak >= 2);
+  switch (end) {
+    case QuantumEnd::Slice:
+      return true;
+    case QuantumEnd::NeedGc:
+      // Distributed heap: collect immediately and locally — no barrier,
+      // no other PE is disturbed (§VI.A).
+      collect_pe(pi, q.force_major());
+      return true;
+    case QuantumEnd::Killed:
+      result_.heap_overflows++;
+      sys_.injector_.stats().heap_overflows++;
+      sys_.note(pi, core_time_[core], "heap overflow: unwound tso " + std::to_string(t->id));
+      if (t == root) {
+        done_ = true;
         return true;
       }
-      case StepOutcome::Blocked:
-        m.blackhole_pending_updates(c, *t);
-        ps.active = nullptr;
-        ps.quantum_used = 0;
-        end_run_segment();
-        charge(pi, cost_.context_switch, CapState::Sync);
-        return true;
-      case StepOutcome::Finished:
-        if (t == root) {
-          end_run_segment();
-          done_ = true;
-          return true;
-        }
-        if (t->is_spark_thread && m.spark_thread_continue(c, *t)) {
-          elapsed += cost_.context_switch;
-          continue;
-        }
-        ps.active = nullptr;
-        ps.quantum_used = 0;
-        end_run_segment();
-        charge(pi, cost_.context_switch, CapState::Sync);
-        return true;
-    }
+      break;
+    case QuantumEnd::RootDone:
+      done_ = true;
+      return true;
+    case QuantumEnd::Released:
+    case QuantumEnd::Expired:
+      break;
   }
-
-  end_run_segment();
-  if (ps.quantum_used < cfg.quantum_steps) return true;
-  m.blackhole_pending_updates(c, *t);
-  t->state = ThreadState::Runnable;
-  c.push_thread(t);
-  ps.active = nullptr;
-  ps.quantum_used = 0;
   charge(pi, cost_.context_switch, CapState::Sync);
   return true;
 }

@@ -331,14 +331,6 @@ class EdenSimDriver {
   EdenSimResult run(Tso* root);
 
  private:
-  struct PeState {
-    Tso* active = nullptr;
-    std::uint32_t quantum_used = 0;
-    // Heap-overflow escalation (see SimDriver::CapSim).
-    Tso* oom_tso = nullptr;
-    std::uint32_t oom_streak = 0;
-  };
-
   /// Runs one slice of PE `pi` on its core; returns true if it made
   /// progress (false = the PE is idle).
   bool pe_slice(std::uint32_t pi, Tso* root);
@@ -358,7 +350,7 @@ class EdenSimDriver {
   TraceLog* trace_;
   std::vector<std::uint64_t> core_time_;
   std::vector<std::uint32_t> core_rr_;  // next PE offset per core
-  std::vector<PeState> pes_;
+  std::vector<Quantum> pes_;  // each PE's running thread
   bool done_ = false;
   bool deadlocked_ = false;
   EdenSimResult result_;

@@ -347,7 +347,6 @@ void EdenProcDriver::child_main(std::uint32_t pi, Tso* root) {
     sys_.set_trace(nullptr);  // the timeline belongs to the supervisor
     Machine& m = sys_.pe(pi);
     Capability& c = m.cap(0);
-    const RtsConfig& cfg = m.config();
     const FaultPlan& plan = sys_.injector().plan();
     EdenSystem::RtPe& rp = *sys_.rt_.at(pi);
     const std::uint64_t hb_ivl = std::max<std::uint64_t>(plan.heartbeat_interval,
@@ -427,10 +426,8 @@ void EdenProcDriver::child_main(std::uint32_t pi, Tso* root) {
     // keeps draining, acking and retransmitting for the survivors until
     // the supervisor says Shutdown. A self-exiting worker would be
     // indistinguishable from a crash.
-    Tso* active = nullptr;
+    Quantum q;
     std::uint32_t idle_spins = 0;
-    Tso* oom_tso = nullptr;
-    std::uint32_t oom_streak = 0;
     auto collect = [&](bool major) {
       m.collect(major);
       gc_count++;
@@ -442,16 +439,15 @@ void EdenProcDriver::child_main(std::uint32_t pi, Tso* root) {
       if (shutdown) break;
       if (m.heap().gc_requested()) collect(false);
 
-      if (active == nullptr) {
-        active = m.schedule_next(c);
-        if (active != nullptr && active->start_time > now_us()) {
-          c.push_thread(active);
-          active = nullptr;
+      if (q.active == nullptr) {
+        Tso* t = m.schedule_next(c);
+        if (t != nullptr && t->start_time > now_us()) {
+          c.push_thread(t);
           idle_now = true;
           std::this_thread::sleep_for(std::chrono::microseconds(50));
           continue;
         }
-        if (active == nullptr) {
+        if (t == nullptr) {
           sys_.rt_service_retries(pi);
           idle_now = true;
           if (++idle_spins < 64)
@@ -462,78 +458,29 @@ void EdenProcDriver::child_main(std::uint32_t pi, Tso* root) {
         }
         idle_now = false;
         idle_spins = 0;
-        active->state = ThreadState::Running;
+        t->state = ThreadState::Running;
+        q.active = t;
       }
 
-      std::uint32_t steps = 0;
-      bool release = false;
-      while (steps < cfg.quantum_steps && !release) {
-        const std::uint32_t batch =
-            std::min<std::uint32_t>(256, cfg.quantum_steps - steps);
-        for (std::uint32_t k = 0; k < batch; ++k) {
-          const StepOutcome out = m.step(c, *active);
-          steps++;
-          if (out == StepOutcome::Ok) {
-            if (oom_tso != nullptr) {
-              oom_tso = nullptr;
-              oom_streak = 0;
-            }
-            continue;
-          }
-          if (out == StepOutcome::NeedGc) {
-            if (oom_tso == active) oom_streak++;
-            else {
-              oom_tso = active;
-              oom_streak = 1;
-            }
-            if (oom_streak >= 3) {
-              m.kill_thread(c, *active, "heap overflow");
-              heap_overflows++;
-              oom_tso = nullptr;
-              oom_streak = 0;
-              const bool was_root = active == root;
-              active = nullptr;
-              release = true;
-              // Root gone for good: report DoneNoValue (result stays
-              // null) so the run ends instead of wedging.
-              if (was_root && !done_sent) send_done();
-              break;
-            }
-            collect(/*force_major=*/oom_streak >= 2);
-            continue;
-          }
-          if (out == StepOutcome::Blocked) {
-            m.blackhole_pending_updates(c, *active);
-            active = nullptr;
-            release = true;
-            break;
-          }
-          // Finished.
-          if (active == root) {
-            progress++;
-            active = nullptr;
-            release = true;
-            if (!done_sent) send_done();
-            break;
-          }
-          if (active->is_spark_thread && m.spark_thread_continue(c, *active)) continue;
-          active = nullptr;
-          release = true;
-          break;
+      Tso* const t = q.active;
+      QuantumEnd end;
+      for (;;) {
+        end = m.run_quantum(c, q, root, kWallSliceSteps, QuantumHook{});
+        if (end == QuantumEnd::NeedGc) {
+          collect(q.force_major());
+          continue;  // the failed step is retried
         }
         progress++;
-        if (!release && steps < cfg.quantum_steps) {
-          maybe_hb();
-          if (sys_.rt_drain(pi)) progress++;
-        }
+        if (end != QuantumEnd::Slice) break;
+        maybe_hb();
+        if (sys_.rt_drain(pi)) progress++;
       }
-
-      if (active != nullptr && !release) {
-        m.blackhole_pending_updates(c, *active);
-        active->state = ThreadState::Runnable;
-        c.push_thread(active);
-        active = nullptr;
-      }
+      if (end == QuantumEnd::Killed) heap_overflows++;
+      // Root gone for good: report its value, or DoneNoValue when it was
+      // killed (result stays null), so the run ends instead of wedging.
+      if ((end == QuantumEnd::RootDone || (end == QuantumEnd::Killed && t == root)) &&
+          !done_sent)
+        send_done();
     }
 
     // Shutdown: final counters home, then vanish without running any

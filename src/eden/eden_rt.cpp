@@ -153,13 +153,8 @@ EdenRtResult EdenThreadedDriver::run(Tso* root) {
 void EdenThreadedDriver::pe_worker(std::uint32_t pi, Tso* root) {
   Machine& m = sys_.pe(pi);
   Capability& c = m.cap(0);
-  const RtsConfig& cfg = m.config();
-  Tso* active = nullptr;
+  Quantum q;
   std::uint32_t idle_spins = 0;
-  // Heap-overflow escalation (mirrors the sim): consecutive NeedGc from
-  // the same thread — 1 → normal GC, 2 → forced major, 3 → kill it.
-  Tso* oom_tso = nullptr;
-  std::uint32_t oom_streak = 0;
 
   auto now_us = [this] { return sys_.rt_now(); };
   auto collect = [&](bool major) {
@@ -188,18 +183,17 @@ void EdenThreadedDriver::pe_worker(std::uint32_t pi, Tso* root) {
     if (sys_.rt_drain(pi)) progress_.fetch_add(1, std::memory_order_relaxed);
     if (m.heap().gc_requested()) collect(false);
 
-    if (active == nullptr) {
-      active = m.schedule_next(c);
-      if (active != nullptr && active->start_time > now_us()) {
+    if (q.active == nullptr) {
+      Tso* t = m.schedule_next(c);
+      if (t != nullptr && t->start_time > now_us()) {
         // Process-instantiation latency (1 virtual cycle = 1µs): the
         // thread exists but has not been born yet. Requeue and wait.
-        c.push_thread(active);
-        active = nullptr;
+        c.push_thread(t);
         idle_[pi].store(true, std::memory_order_release);
         std::this_thread::sleep_for(std::chrono::microseconds(50));
         continue;
       }
-      if (active == nullptr) {
+      if (t == nullptr) {
         // Idle: retransmit overdue sends, then back off — yields first,
         // real sleeps once the inbox has stayed empty a while.
         sys_.rt_service_retries(pi);
@@ -219,84 +213,35 @@ void EdenThreadedDriver::pe_worker(std::uint32_t pi, Tso* root) {
       }
       idle_[pi].store(false, std::memory_order_release);
       idle_spins = 0;
-      active->state = ThreadState::Running;
+      t->state = ThreadState::Running;
+      q.active = t;
     }
 
-    // One quantum in small batches, draining the transport between
-    // batches so stream elements keep flowing while we compute.
-    std::uint32_t steps = 0;
-    bool release = false;  // gave up the thread (blocked/finished/killed)
+    // One quantum in slices, draining the transport between slices so
+    // stream elements keep flowing while we compute.
+    Tso* const t = q.active;
     std::uint64_t seg0 = now_us();
     auto end_run_segment = [&] {
       if (trace_ != nullptr) trace_->record(pi, seg0, now_us(), CapState::Run);
     };
-    while (steps < cfg.quantum_steps && !release) {
-      const std::uint32_t batch =
-          std::min<std::uint32_t>(256, cfg.quantum_steps - steps);
-      for (std::uint32_t k = 0; k < batch; ++k) {
-        const StepOutcome out = m.step(c, *active);
-        steps++;
-        if (out == StepOutcome::Ok) {
-          if (oom_tso != nullptr) {
-            oom_tso = nullptr;  // progress: the allocation went through
-            oom_streak = 0;
-          }
-          continue;
-        }
-        if (out == StepOutcome::NeedGc) {
-          if (oom_tso == active) oom_streak++;
-          else { oom_tso = active; oom_streak = 1; }
-          end_run_segment();
-          if (oom_streak >= 3) {
-            seg0 = now_us();  // segment already recorded; don't double-count
-            m.kill_thread(c, *active, "heap overflow");
-            heap_overflows_.fetch_add(1, std::memory_order_relaxed);
-            oom_tso = nullptr;
-            oom_streak = 0;
-            const bool was_root = active == root;
-            active = nullptr;
-            release = true;
-            if (was_root) {
-              done_.store(true, std::memory_order_release);
-              return;
-            }
-            break;
-          }
-          collect(/*force_major=*/oom_streak >= 2);
-          seg0 = now_us();
-          continue;  // the failed step is retried
-        }
-        if (out == StepOutcome::Blocked) {
-          m.blackhole_pending_updates(c, *active);
-          active = nullptr;
-          release = true;
-          break;
-        }
-        // Finished.
-        if (active == root) {
-          end_run_segment();
-          progress_.fetch_add(1, std::memory_order_relaxed);
-          done_.store(true, std::memory_order_release);
-          return;
-        }
-        if (active->is_spark_thread && m.spark_thread_continue(c, *active)) continue;
-        active = nullptr;
-        release = true;
-        break;
+    QuantumEnd end;
+    for (;;) {
+      end = m.run_quantum(c, q, root, kWallSliceSteps, QuantumHook{});
+      if (end == QuantumEnd::NeedGc) {
+        end_run_segment();
+        collect(q.force_major());
+        seg0 = now_us();
+        continue;  // the failed step is retried
       }
       progress_.fetch_add(1, std::memory_order_relaxed);
-      if (!release && steps < cfg.quantum_steps) {
-        if (sys_.rt_drain(pi)) progress_.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (end != QuantumEnd::Slice) break;
+      if (sys_.rt_drain(pi)) progress_.fetch_add(1, std::memory_order_relaxed);
     }
     end_run_segment();
-
-    if (active != nullptr && !release) {
-      // Quantum expired: context switch; the scheduler runs.
-      m.blackhole_pending_updates(c, *active);
-      active->state = ThreadState::Runnable;
-      c.push_thread(active);
-      active = nullptr;
+    if (end == QuantumEnd::Killed) heap_overflows_.fetch_add(1, std::memory_order_relaxed);
+    if (end == QuantumEnd::RootDone || (end == QuantumEnd::Killed && t == root)) {
+      done_.store(true, std::memory_order_release);
+      return;
     }
   }
 }

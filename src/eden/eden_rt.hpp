@@ -9,9 +9,10 @@
 // Per-PE loop: drain arriving messages (placeholder fills run on the
 // owning PE's thread, so each heap stays single-mutator), collect the
 // PE's own heap when asked (no cross-PE barrier — the distributed-heap
-// advantage of §VI.A), then run scheduler quanta exactly like the GpH
-// ThreadedDriver, with the same heap-overflow escalation (GC → forced
-// major → kill the thread). When the fault plan is enabled the reliable-
+// advantage of §VI.A), then run the scheduler quantum every driver
+// shares (Machine::run_quantum, which owns the heap-overflow escalation:
+// GC → forced major → kill the thread) in slices, draining the transport
+// between slices. When the fault plan is enabled the reliable-
 // channel protocol (net::ChannelEndpoint, shared with the sim) runs over
 // the real wire: idle PEs retransmit overdue sends, receivers ack and
 // dedup, and the plan's probabilities are drawn at the transport's

@@ -8,10 +8,12 @@
 // by the message-passing layer in src/eden (exactly the paper's setup of
 // one GHC runtime per PE).
 //
-// Machines are *driven* externally: the virtual-time simulation driver
-// (src/sim) and the OS-thread driver (src/rts/threaded.hpp) both advance
-// capabilities through Machine's scheduling primitives, so all policy
-// logic lives here and is identical under both drivers.
+// Machines are *driven* externally, by six drivers: the virtual-time
+// SimDriver (src/sim) and EdenSimDriver, and the wall-clock ThreadedDriver
+// (src/rts/threaded.hpp), EdenThreadedDriver, the EdenProcDriver child and
+// the ServeFleet worker. Every one of them runs threads through the one
+// scheduler quantum, Machine::run_quantum, so all policy logic lives here
+// and is identical under every driver (DESIGN.md §16).
 #pragma once
 
 #include <array>
@@ -48,6 +50,52 @@ enum class StepOutcome : std::uint8_t {
   NeedGc,    // allocation failed; run a collection and retry the thread
   Blocked,   // thread blocked on a black hole / placeholder; pick another
   Finished   // thread completed; result is in Tso::result
+};
+
+/// How a call to Machine::run_quantum ended. Only Slice and NeedGc leave
+/// Quantum::active set.
+enum class QuantumEnd : std::uint8_t {
+  Slice,     // step budget spent, or the hook stopped the call
+  Expired,   // quantum used up: the thread was black-holed and requeued
+  Released,  // the thread blocked, or finished with no next spark
+  NeedGc,    // allocation failed: collect (major if force_major()), call again
+  Killed,    // third NeedGc in a row: the thread was unwound ("heap overflow")
+  RootDone   // the root thread finished (result, or `error`, is set)
+};
+
+/// A capability's running thread and the state of its quantum, kept by
+/// the driver between run_quantum calls.
+struct Quantum {
+  Tso* active = nullptr;   // thread holding the capability, if any
+  std::uint32_t used = 0;  // steps of active's quantum spent
+  // Heap-overflow escalation: consecutive NeedGc outcomes of one thread
+  // (1 -> collect, 2 -> forced major collection, 3 -> kill the thread).
+  Tso* oom_tso = nullptr;
+  std::uint32_t oom_streak = 0;
+
+  bool force_major() const { return oom_streak >= 2; }
+  void release() {
+    active = nullptr;
+    used = 0;
+  }
+};
+
+/// Steps a wall-clock driver runs per run_quantum call; between calls it
+/// joins a pending collection, drains its transport or sends heartbeats.
+constexpr std::uint32_t kWallSliceSteps = 256;
+
+/// Per-step callbacks of run_quantum. A driver that charges per step (the
+/// virtual-time drivers) derives from this and hides what it needs; the
+/// calls are resolved at compile time, so the others pay nothing.
+struct QuantumHook {
+  /// Runs once a step is counted against the quantum, before it runs;
+  /// true stops the call there (QuantumEnd::Slice).
+  bool before_step() { return false; }
+  /// Runs after each step, before its outcome is handled; true stops the
+  /// call there (QuantumEnd::Slice) with the outcome unhandled.
+  bool after_step(StepOutcome) { return false; }
+  /// Runs when a finished spark thread has taken its next spark.
+  void spark_switch() {}
 };
 
 struct SparkStats {
@@ -228,7 +276,17 @@ class Machine {
   void set_cancel_hook(CancelFn f) { cancel_ = std::move(f); }
   static constexpr std::uint32_t kCancelPollSteps = 128;
 
-  // --- scheduling primitives (shared by both drivers) -----------------------
+  // --- scheduling primitives (shared by every driver) -----------------------
+  /// The scheduler quantum: steps q.active on `c` for at most `budget`
+  /// steps of its quantum (cfg.quantum_steps). It owns everything that
+  /// happens to the thread: the heap-overflow escalation (see Quantum),
+  /// black-holing and release on Blocked, root detection and spark-thread
+  /// continuation on Finished (a thread finished with `error` set is
+  /// released, not continued), and black-holing plus requeue on expiry.
+  /// The driver picks q.active, collects on NeedGc and keeps the clock.
+  template <typename Hook>
+  QuantumEnd run_quantum(Capability& c, Quantum& q, const Tso* root,
+                         std::uint32_t budget, Hook&& hook);
   /// Picks the next thread for `c`: run queue first, then local sparks
   /// (per SparkRunPolicy). Returns nullptr if the capability has no local
   /// work. Does not steal — the driver decides when to pay for stealing.
@@ -372,6 +430,56 @@ class Machine {
 
   MachineStats stats_;
 };
+
+template <typename Hook>
+QuantumEnd Machine::run_quantum(Capability& c, Quantum& q, const Tso* root,
+                                std::uint32_t budget, Hook&& hook) {
+  Tso& t = *q.active;
+  const std::uint32_t quantum = cfg_.quantum_steps;
+  for (std::uint32_t n = 0; n < budget && q.used < quantum; ++n) {
+    q.used++;
+    if (hook.before_step()) return QuantumEnd::Slice;
+    const StepOutcome out = step(c, t);
+    if (hook.after_step(out)) return QuantumEnd::Slice;
+    switch (out) {
+      case StepOutcome::Ok:
+        q.oom_tso = nullptr;  // progress: the allocation went through
+        q.oom_streak = 0;
+        continue;
+      case StepOutcome::NeedGc:
+        if (q.oom_tso == &t) {
+          q.oom_streak++;
+        } else {
+          q.oom_tso = &t;
+          q.oom_streak = 1;
+        }
+        if (q.oom_streak < 3) return QuantumEnd::NeedGc;
+        kill_thread(c, t, "heap overflow");
+        q = Quantum{};
+        return QuantumEnd::Killed;
+      case StepOutcome::Blocked:
+        blackhole_pending_updates(c, t);
+        q.release();
+        return QuantumEnd::Released;
+      case StepOutcome::Finished:
+        if (&t != root && t.error == nullptr && t.is_spark_thread &&
+            spark_thread_continue(c, t)) {
+          hook.spark_switch();
+          continue;
+        }
+        q.release();
+        return &t == root ? QuantumEnd::RootDone : QuantumEnd::Released;
+    }
+  }
+  if (q.used < quantum) return QuantumEnd::Slice;
+  // Quantum expired: context switch. The scheduler runs, so lazy
+  // black-holing happens here (§IV.A.3).
+  blackhole_pending_updates(c, t);
+  t.state = ThreadState::Runnable;
+  c.push_thread(&t);
+  q.release();
+  return QuantumEnd::Expired;
+}
 
 /// RAII guard keeping host-held heap pointers alive across collections
 /// triggered by Machine::alloc_with_gc.

@@ -77,14 +77,9 @@ void ThreadedDriver::barrier() {
 
 void ThreadedDriver::worker(std::uint32_t ci, Tso* main_tso) {
   Capability& c = m_.cap(ci);
-  Tso* active = nullptr;
+  Quantum q;
   std::uint32_t idle_spins = 0;
   std::uint32_t deadlock_strikes = 0;
-  // Heap-overflow escalation (mirrors SimDriver): consecutive NeedGc from
-  // the same thread — 1 → normal GC, 2 → forced major, 3 → kill it.
-  Tso* oom_tso = nullptr;
-  std::uint32_t oom_streak = 0;
-  const RtsConfig& cfg = m_.config();
 
   auto finish = [&] {
     std::lock_guard<std::mutex> lk(gc_mutex_);
@@ -101,10 +96,10 @@ void ThreadedDriver::worker(std::uint32_t ci, Tso* main_tso) {
       continue;
     }
 
-    if (active == nullptr) {
-      active = m_.schedule_next(c);
-      if (active == nullptr) active = m_.try_steal(c);
-      if (active == nullptr) {
+    if (q.active == nullptr) {
+      Tso* t = m_.schedule_next(c);
+      if (t == nullptr) t = m_.try_steal(c);
+      if (t == nullptr) {
         c.idle.store(true, std::memory_order_relaxed);
         if (++idle_spins < 64) {
           std::this_thread::yield();
@@ -142,75 +137,33 @@ void ThreadedDriver::worker(std::uint32_t ci, Tso* main_tso) {
       c.idle.store(false, std::memory_order_relaxed);
       idle_spins = 0;
       deadlock_strikes = 0;
-      active->state = ThreadState::Running;
+      t->state = ThreadState::Running;
+      q.active = t;
     }
 
-    // Run one quantum in small batches so progress_ ticks regularly.
-    std::uint32_t steps = 0;
-    bool release = false;  // give up the thread (blocked/finished/moved on)
-    while (steps < cfg.quantum_steps && !release) {
-      if (m_.heap().gc_requested()) {
-        sched_hook::point(SchedPoint::GcRendezvous, ci);
-        barrier();
-        continue;  // retry from the current step
-      }
-      const std::uint32_t batch = std::min<std::uint32_t>(256, cfg.quantum_steps - steps);
-      for (std::uint32_t k = 0; k < batch; ++k) {
-        const StepOutcome out = m_.step(c, *active);
-        steps++;
-        if (out == StepOutcome::Ok) {
-          if (oom_tso != nullptr) {
-            oom_tso = nullptr;  // progress: the allocation went through
-            oom_streak = 0;
-          }
-          continue;
-        }
-        if (out == StepOutcome::NeedGc) {
-          if (oom_tso == active) oom_streak++;
-          else { oom_tso = active; oom_streak = 1; }
-          if (oom_streak == 2) force_major_.store(true);
-          if (oom_streak >= 3) {
-            m_.kill_thread(c, *active, "heap overflow");
-            heap_overflows_.fetch_add(1, std::memory_order_relaxed);
-            oom_tso = nullptr;
-            oom_streak = 0;
-            if (active == main_tso) {
-              finish();
-              return;
-            }
-            active = nullptr;
-            release = true;
-            break;
-          }
-          sched_hook::point(SchedPoint::GcRendezvous, ci);
-          barrier();  // park; the step is retried after the collection
-          continue;
-        }
-        if (out == StepOutcome::Blocked) {
-          m_.blackhole_pending_updates(c, *active);
-          active = nullptr;
-          release = true;
-          break;
-        }
-        // Finished.
-        if (active == main_tso) {
-          finish();
-          return;
-        }
-        if (active->is_spark_thread && m_.spark_thread_continue(c, *active)) continue;
-        active = nullptr;
-        release = true;
+    // The quantum runs in slices, so progress_ ticks regularly and a
+    // requested collection is joined (at the loop top) between slices.
+    Tso* const t = q.active;
+    const QuantumEnd end = m_.run_quantum(c, q, main_tso, kWallSliceSteps, QuantumHook{});
+    progress_.fetch_add(1, std::memory_order_relaxed);
+    switch (end) {
+      case QuantumEnd::Slice:
+        continue;
+      case QuantumEnd::NeedGc:
+        // Park at the loop top's barrier; the step is retried after it.
+        if (q.force_major()) force_major_.store(true);
+        continue;
+      case QuantumEnd::Killed:
+        heap_overflows_.fetch_add(1, std::memory_order_relaxed);
+        if (t != main_tso) break;
+        finish();
+        return;
+      case QuantumEnd::RootDone:
+        finish();
+        return;
+      case QuantumEnd::Expired:
+      case QuantumEnd::Released:
         break;
-      }
-      progress_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    if (active != nullptr && !release) {
-      // Quantum expired: context switch; the scheduler runs.
-      m_.blackhole_pending_updates(c, *active);
-      active->state = ThreadState::Runnable;
-      c.push_thread(active);
-      active = nullptr;
     }
     m_.push_work(c);
   }

@@ -99,13 +99,7 @@ bool ServeClient::pump() {
   }
 }
 
-std::optional<ServeReply> ServeClient::poll() {
-  if (!stash_.empty()) {
-    ServeReply r = stash_.front();
-    stash_.erase(stash_.begin());
-    return r;
-  }
-  pump();
+std::optional<ServeReply> ServeClient::next_read() {
   net::DataMsg m;
   for (;;) {
     try {
@@ -118,21 +112,32 @@ std::optional<ServeReply> ServeClient::poll() {
   }
 }
 
+std::optional<ServeReply> ServeClient::poll() {
+  if (!stash_.empty()) {
+    ServeReply r = stash_.front();
+    stash_.erase(stash_.begin());
+    return r;
+  }
+  pump();
+  return next_read();
+}
+
 std::optional<ServeReply> ServeClient::wait(std::uint64_t id,
                                             std::uint64_t timeout_us) {
+  for (std::size_t i = 0; i < stash_.size(); ++i)
+    if (stash_[i].id == id) {
+      ServeReply r = stash_[i];
+      stash_.erase(stash_.begin() + static_cast<std::ptrdiff_t>(i));
+      return r;
+    }
+  // Only fresh frames from here on: the stash holds no reply for `id`,
+  // and re-reading it would spin past the timeout check.
   const auto t0 = std::chrono::steady_clock::now();
   for (;;) {
-    for (std::size_t i = 0; i < stash_.size(); ++i)
-      if (stash_[i].id == id) {
-        ServeReply r = stash_[i];
-        stash_.erase(stash_.begin() + static_cast<std::ptrdiff_t>(i));
-        return r;
-      }
-    std::optional<ServeReply> r = poll();
-    if (r) {
+    pump();
+    while (std::optional<ServeReply> r = next_read()) {
       if (r->id == id) return r;
       stash_.push_back(*r);
-      continue;
     }
     if (fd_ < 0) return std::nullopt;  // connection died
     const auto el = std::chrono::duration_cast<std::chrono::microseconds>(

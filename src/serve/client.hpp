@@ -45,6 +45,7 @@ class ServeClient {
   void send_msg(const net::DataMsg& m);
   void flush();
   bool pump();  // one nonblocking read; false when the conn died
+  std::optional<ServeReply> next_read();  // next reply already read off the socket
 
   int fd_ = -1;
   net::FrameReader reader_;

@@ -250,6 +250,7 @@ void ServeFleet::submit(std::uint32_t pe, const ServeRequest& req,
   wire_req.deadline_us = abs_deadline_us;  // worker clocks are fleet-epoch µs
   net::DataMsg m = encode_submit(wire_req);
   m.src_pe = transport_->supervisor_endpoint();
+  m.epoch = s.deaths;  // the incarnation it is meant for
   transport_->send(pe, m);
   s.inflight = req.id;
   s.last_dispatch = now_us();
@@ -259,6 +260,7 @@ void ServeFleet::cancel(std::uint32_t pe, std::uint64_t request_id) {
   if (pe >= slots_.size() || slots_[pe].pid <= 0) return;
   net::DataMsg m = encode_cancel(request_id);
   m.src_pe = transport_->supervisor_endpoint();
+  m.epoch = slots_[pe].deaths;
   transport_->send(pe, m);
 }
 
@@ -322,6 +324,10 @@ void ServeFleet::worker_main(std::uint32_t pe) {
   try {
     net::ProcTransport& tp = *transport_;
     const std::uint32_t super = tp.supervisor_endpoint();
+    // This incarnation: Submit and Cancel frames are stamped with the one
+    // they were sent to, and the supervisor->PE ring outlives a dead
+    // predecessor, so frames stamped for another incarnation are dropped.
+    const std::uint64_t incarnation = slots_.at(pe).deaths;
     std::uint64_t progress = 0, executed = 0, killed = 0;
     bool idle_now = true;
     bool shutdown = false;
@@ -371,7 +377,11 @@ void ServeFleet::worker_main(std::uint32_t pe) {
     auto pump_ctl = [&] {
       while (std::optional<net::DataMsg> m = tp.poll(pe)) {
         if (m->kind != net::MsgKind::Ctrl) continue;
-        switch (static_cast<ServeOp>(m->channel)) {
+        const auto op = static_cast<ServeOp>(m->channel);
+        if ((op == ServeOp::Submit || op == ServeOp::Cancel) &&
+            m->epoch != incarnation)
+          continue;
+        switch (op) {
           case ServeOp::Submit: {
             std::optional<ServeRequest> r = decode_submit(*m);
             if (!r) {
@@ -435,18 +445,14 @@ void ServeFleet::worker_main(std::uint32_t pe) {
       });
 
       Capability& c = m.cap(0);
-      const RtsConfig& rts = m.config();
-      Tso* active = nullptr;
-      Tso* oom_tso = nullptr;
-      std::uint32_t oom_streak = 0;
+      Quantum q;
       const char* wedged = nullptr;
-      bool done = false;
-      while (!done) {
+      for (bool done = false; !done;) {
         maybe_hb();
         if (m.heap().gc_requested()) m.collect(false);
-        if (active == nullptr) {
-          active = m.schedule_next(c);
-          if (active == nullptr) {
+        if (q.active == nullptr) {
+          q.active = m.schedule_next(c);
+          if (q.active == nullptr) {
             if (root->state == ThreadState::Finished) break;
             if (!m.work_anywhere()) {
               wedged = "request wedged: no runnable work";
@@ -454,81 +460,38 @@ void ServeFleet::worker_main(std::uint32_t pe) {
             }
             continue;
           }
-          active->state = ThreadState::Running;
+          q.active->state = ThreadState::Running;
         }
-        std::uint32_t steps = 0;
-        bool release = false;
-        while (steps < rts.quantum_steps && !release) {
-          const StepOutcome out = m.step(c, *active);
-          steps++;
-          if (out == StepOutcome::Ok) {
-            if (oom_tso != nullptr) {
-              oom_tso = nullptr;
-              oom_streak = 0;
-            }
-            continue;
-          }
-          if (out == StepOutcome::NeedGc) {
-            if (oom_tso == active) {
-              oom_streak++;
-            } else {
-              oom_tso = active;
-              oom_streak = 1;
-            }
-            if (oom_streak >= 3) {
-              const bool was_root = active == root;
-              m.kill_thread(c, *active, "heap overflow");
-              killed++;
-              oom_tso = nullptr;
-              oom_streak = 0;
-              // A helper OOMing means the request as a whole cannot fit:
-              // the root retrying the restored thunk would just OOM too.
-              if (!was_root) m.kill_thread(c, *root, "heap overflow");
-              active = nullptr;
-              done = true;
-              release = true;
-              break;
-            }
-            m.collect(/*force_major=*/oom_streak >= 2);
-            continue;
-          }
-          if (out == StepOutcome::Blocked) {
-            m.blackhole_pending_updates(c, *active);
-            active = nullptr;
-            release = true;
-            break;
-          }
-          // Finished.
-          if (active == root) {
-            active = nullptr;
-            done = true;
-            release = true;
-            break;
-          }
-          if (active->error != nullptr) {
-            // A killed helper (deadline/cancel landed on a spark thread):
-            // propagate to the root so the request dies promptly instead
-            // of re-evaluating the restored thunks.
-            m.kill_thread(c, *root, active->error);
+        Tso* const t = q.active;
+        switch (m.run_quantum(c, q, root, m.config().quantum_steps, QuantumHook{})) {
+          case QuantumEnd::NeedGc:
+            m.collect(q.force_major());
+            continue;  // the failed step is retried
+          case QuantumEnd::Killed:
             killed++;
-            active = nullptr;
+            // A helper OOMing means the request as a whole cannot fit:
+            // the root retrying the restored thunk would just OOM too.
+            if (t != root) m.kill_thread(c, *root, "heap overflow");
             done = true;
-            release = true;
             break;
-          }
-          if (active->is_spark_thread && m.spark_thread_continue(c, *active))
-            continue;
-          active = nullptr;
-          release = true;
-          break;
+          case QuantumEnd::RootDone:
+            done = true;
+            break;
+          case QuantumEnd::Released:
+            if (t->error != nullptr) {
+              // A killed helper (deadline/cancel landed on a spark thread):
+              // propagate to the root so the request dies promptly instead
+              // of re-evaluating the restored thunks.
+              m.kill_thread(c, *root, t->error);
+              killed++;
+              done = true;
+            }
+            break;
+          case QuantumEnd::Slice:
+          case QuantumEnd::Expired:
+            break;
         }
         progress++;
-        if (active != nullptr && !release) {
-          m.blackhole_pending_updates(c, *active);
-          active->state = ThreadState::Runnable;
-          c.push_thread(active);
-          active = nullptr;
-        }
       }
       m.set_cancel_hook({});
       current_id = 0;

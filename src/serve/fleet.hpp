@@ -21,7 +21,11 @@
 //     later readmits the PE if it proves healthy;
 //   * graceful drain — Shutdown lets a busy worker finish its in-flight
 //     request, ship final stats and _Exit(0); stragglers are killed after
-//     a bounded grace so drain cannot hang the daemon.
+//     a bounded grace so drain cannot hang the daemon;
+//   * incarnation-safe control frames — Submit and Cancel carry the
+//     slot's death count as DataMsg::epoch, and a worker drops frames
+//     stamped for another incarnation, since the supervisor->PE ring
+//     outlives a killed worker together with its unread frames.
 //
 // The supervisor side is single-threaded and non-blocking: the daemon's
 // event loop calls tick() which never sleeps.
@@ -119,7 +123,7 @@ class ServeFleet {
  private:
   struct Slot {
     pid_t pid = -1;
-    std::uint64_t deaths = 0;
+    std::uint64_t deaths = 0;  // also names the live incarnation
     std::uint64_t last_beat = 0;
     bool beat_seen = false;
     std::uint64_t respawn_at = 0;  // 0 = none scheduled

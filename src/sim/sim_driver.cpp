@@ -55,7 +55,7 @@ void SimDriver::slice(std::uint32_t ci, Tso* main_tso) {
 
   if (hook_) hook_(ci, cs.time);
 
-  if (cs.active == nullptr) {
+  if (cs.q.active == nullptr) {
     Tso* t = m_.schedule_next(c);
     if (t == nullptr && m_.config().work == WorkPolicy::Steal) {
       t = m_.try_steal(c);
@@ -63,7 +63,7 @@ void SimDriver::slice(std::uint32_t ci, Tso* main_tso) {
     }
     if (t != nullptr) {
       c.idle.store(false, std::memory_order_relaxed);
-      cs.active = t;
+      cs.q.active = t;
       t->state = ThreadState::Running;
       // A brand-new thread (spark conversion / fresh spawn) pays creation
       // cost on top of the dispatch switch.
@@ -96,7 +96,7 @@ void SimDriver::idle_tick(std::uint32_t ci) {
   // Walk the wait-for graph to say *why* (cycle vs starvation).
   bool any_active = false;
   for (const CapSim& k : caps_)
-    if (k.active != nullptr) any_active = true;
+    if (k.q.active != nullptr) any_active = true;
   if (!any_active && !m_.work_anywhere() && !gc_pending()) {
     if (pending_) {
       if (auto next = pending_()) {
@@ -114,125 +114,49 @@ void SimDriver::idle_tick(std::uint32_t ci) {
 void SimDriver::run_mutator(std::uint32_t ci, Tso* main_tso) {
   CapSim& cs = caps_[ci];
   Capability& c = m_.cap(ci);
-  Tso* t = cs.active;
-  const RtsConfig& cfg = m_.config();
+  Tso* const t = cs.q.active;
   const std::uint64_t start = cs.time;
-  std::uint64_t elapsed = 0;
-
-  auto end_run_segment = [&]() {
-    if (trace_ != nullptr) trace_->record(ci, start, start + elapsed, CapState::Run);
-    cs.time = start + elapsed;
-  };
 
   // Execute at most sim_slice_steps per slice so that heap effects become
   // visible to the other capabilities at fine virtual-time granularity; a
   // context switch still only happens when the full quantum is spent.
-  const std::uint32_t budget =
-      std::min<std::uint32_t>(cost_.sim_slice_steps, cfg.quantum_steps - cs.quantum_used);
-  for (std::uint32_t steps = 0; steps < budget; ++steps) {
-    cs.quantum_used++;
-    // Improved barrier: interrupted at every safe point (each step).
-    if (gc_pending() && cfg.barrier == BarrierPolicy::Improved) {
-      end_run_segment();
-      charge(ci, cost_.barrier_signal, CapState::Sync);
+  SimStepCharge hook(m_, c, cost_, /*barrier=*/true);
+  const QuantumEnd end = m_.run_quantum(c, cs.q, main_tso, cost_.sim_slice_steps, hook);
+  if (trace_ != nullptr) trace_->record(ci, start, start + hook.elapsed, CapState::Run);
+  cs.time = start + hook.elapsed;
+
+  switch (end) {
+    case QuantumEnd::Slice:
+      if (!hook.stopped) return;  // slice boundary only
+      if (m_.config().barrier == BarrierPolicy::Improved)
+        charge(ci, cost_.barrier_signal, CapState::Sync);
       arrive_at_barrier(ci);
       return;
-    }
-    const std::uint64_t debt_before = c.alloc_debt;
-    const StepOutcome out = m_.step(c, *t);
-    elapsed += cost_.step;
-    if (c.alloc_debt > debt_before)
-      elapsed += ((c.alloc_debt - debt_before) * cost_.alloc_per_4words) / 4;
-
-    // Allocation check (GHC: every 4kB block): the only safe point at
-    // which a Naive-barrier mutator notices a pending GC. Note that lazy
-    // black-holing does NOT happen here — in GHC 6.x thunks were marked
-    // only at genuine context switches, which is exactly why duplicate
-    // evaluation was so visible in the paper's Fig. 5.
-    if (c.alloc_debt >= cfg.alloc_check_words) {
-      c.alloc_debt = 0;
-      if (gc_pending() && cfg.barrier == BarrierPolicy::Naive) {
-        end_run_segment();
-        arrive_at_barrier(ci);
-        return;
-      }
-    }
-
-    switch (out) {
-      case StepOutcome::Ok:
-        if (cs.oom_tso != nullptr) {
-          cs.oom_tso = nullptr;  // progress: the allocation went through
-          cs.oom_streak = 0;
-        }
-        continue;
-      case StepOutcome::NeedGc: {
-        // This capability cannot allocate. Escalate on repeated failure of
-        // the same thread: 1st → normal GC, 2nd → forced major GC (grows
-        // the old generation), 3rd → unwind just this thread.
-        if (cs.oom_tso == t) cs.oom_streak++;
-        else { cs.oom_tso = t; cs.oom_streak = 1; }
-        if (cs.oom_streak == 2) force_major_ = true;
-        if (cs.oom_streak >= 3) {
-          m_.kill_thread(c, *t, "heap overflow");
-          result_.heap_overflows++;
-          if (m_.fault() != nullptr) m_.fault()->stats().heap_overflows++;
-          if (trace_ != nullptr)
-            trace_->note(ci, start + elapsed,
-                         "heap overflow: unwound tso " + std::to_string(t->id));
-          cs.oom_tso = nullptr;
-          cs.oom_streak = 0;
-          end_run_segment();
-          if (t == main_tso) {
-            main_done_ = true;
-            return;
-          }
-          cs.active = nullptr;
-          cs.quantum_used = 0;
-          charge(ci, cost_.context_switch, CapState::Sync);
-          return;
-        }
-        end_run_segment();
-        arrive_at_barrier(ci);
-        return;
-      }
-      case StepOutcome::Blocked:
-        m_.blackhole_pending_updates(c, *t);
-        cs.active = nullptr;
-        cs.quantum_used = 0;
-        end_run_segment();
-        charge(ci, cost_.context_switch, CapState::Sync);
-        return;
-      case StepOutcome::Finished:
-        if (t == main_tso) {
-          end_run_segment();
-          main_done_ = true;
-          return;
-        }
-        if (t->is_spark_thread && m_.spark_thread_continue(c, *t)) {
-          elapsed += cost_.context_switch;  // cheap spark-to-spark switch
-          continue;
-        }
-        cs.active = nullptr;
-        cs.quantum_used = 0;
-        end_run_segment();
-        charge(ci, cost_.context_switch, CapState::Sync);
-        return;
-    }
+    case QuantumEnd::NeedGc:
+      if (cs.q.force_major()) force_major_ = true;
+      arrive_at_barrier(ci);
+      return;
+    case QuantumEnd::Killed:
+      result_.heap_overflows++;
+      if (m_.fault() != nullptr) m_.fault()->stats().heap_overflows++;
+      if (trace_ != nullptr)
+        trace_->note(ci, cs.time, "heap overflow: unwound tso " + std::to_string(t->id));
+      if (t == main_tso) main_done_ = true;
+      else charge(ci, cost_.context_switch, CapState::Sync);
+      return;
+    case QuantumEnd::RootDone:
+      main_done_ = true;
+      return;
+    case QuantumEnd::Released:
+      charge(ci, cost_.context_switch, CapState::Sync);
+      return;
+    case QuantumEnd::Expired:
+      // Under PushOnPoll the context switch is the only moment surplus
+      // work gets offloaded (§IV.A.2).
+      charge(ci, cost_.context_switch, CapState::Sync);
+      m_.push_work(c);
+      return;
   }
-
-  end_run_segment();
-  if (cs.quantum_used < cfg.quantum_steps) return;  // slice boundary only
-
-  // Quantum expired: context switch. The scheduler runs — lazy
-  // black-holing happens here (§IV.A.3), and under PushOnPoll this is the
-  // only moment surplus work gets offloaded (§IV.A.2).
-  m_.blackhole_pending_updates(c, *t);
-  t->state = ThreadState::Runnable;
-  c.push_thread(t);
-  cs.active = nullptr;
-  cs.quantum_used = 0;
-  charge(ci, cost_.context_switch, CapState::Sync);
-  m_.push_work(c);
 }
 
 void SimDriver::arrive_at_barrier(std::uint32_t ci) {

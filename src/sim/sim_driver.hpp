@@ -37,6 +37,52 @@ struct SimResult {
   std::uint64_t heap_overflows = 0;  // TSOs killed by the overflow escalation
 };
 
+/// The virtual-time drivers' run_quantum hook: charges each step its
+/// CostModel cost and runs the allocation check (GHC: every 4kB block).
+/// With `barrier` set (a shared heap) it also plays the GC barrier's safe
+/// points: under BarrierPolicy::Improved a pending collection interrupts
+/// the next step, which still spends a quantum step; under Naive it is
+/// noticed only at the allocation check, before that step's outcome is
+/// handled. Either way `stopped` is set and the call ends with Slice.
+class SimStepCharge : public QuantumHook {
+ public:
+  SimStepCharge(Machine& m, Capability& c, const CostModel& cost, bool barrier)
+      : m_(m), c_(c), cost_(cost), barrier_(barrier) {}
+
+  bool before_step() {
+    if (barrier_ && m_.config().barrier == BarrierPolicy::Improved &&
+        m_.heap().gc_requested())
+      return stopped = true;
+    debt_before_ = c_.alloc_debt;
+    return false;
+  }
+  bool after_step(StepOutcome) {
+    elapsed += cost_.step;
+    if (c_.alloc_debt > debt_before_)
+      elapsed += ((c_.alloc_debt - debt_before_) * cost_.alloc_per_4words) / 4;
+    // Lazy black-holing does NOT happen at the allocation check: in GHC
+    // 6.x thunks were marked only at genuine context switches, which is
+    // exactly why duplicate evaluation was so visible in the paper's Fig. 5.
+    if (c_.alloc_debt < m_.config().alloc_check_words) return false;
+    c_.alloc_debt = 0;
+    if (barrier_ && m_.config().barrier == BarrierPolicy::Naive &&
+        m_.heap().gc_requested())
+      return stopped = true;
+    return false;
+  }
+  void spark_switch() { elapsed += cost_.context_switch; }  // cheap spark-to-spark switch
+
+  std::uint64_t elapsed = 0;  // virtual time the steps took
+  bool stopped = false;       // parked at a GC-barrier safe point
+
+ private:
+  Machine& m_;
+  Capability& c_;
+  const CostModel& cost_;
+  bool barrier_;
+  std::uint64_t debt_before_ = 0;
+};
+
 class SimDriver {
  public:
   explicit SimDriver(Machine& m, CostModel cost = {}, TraceLog* trace = nullptr);
@@ -59,15 +105,10 @@ class SimDriver {
 
  private:
   struct CapSim {
-    Tso* active = nullptr;
+    Quantum q;
     std::uint64_t time = 0;
     bool arrived = false;          // parked at the GC barrier
     std::uint64_t arrive_time = 0;
-    std::uint32_t quantum_used = 0;  // steps of the active thread's quantum spent
-    // Heap-overflow escalation: consecutive NeedGc outcomes from the same
-    // thread (1 → normal GC, 2 → forced major GC, 3 → kill the thread).
-    Tso* oom_tso = nullptr;
-    std::uint32_t oom_streak = 0;
   };
 
   void slice(std::uint32_t ci, Tso* main_tso);

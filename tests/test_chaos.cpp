@@ -13,8 +13,11 @@
 #include <dirent.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
+#include <functional>
+#include <memory>
 #include <thread>
 
 #include "eden/eden_proc.hpp"
@@ -60,8 +63,8 @@ struct ProcRig {
   }
 };
 
-// 1..200 in 20 chunks: enough work that a 10-40ms crash offset lands
-// squarely mid-computation, and every non-root PE holds several tasks.
+// 1..200 in 20 chunks: enough work that a kill aimed at a share of the
+// run lands mid-computation, and every non-root PE holds several tasks.
 std::vector<Obj*> sumeuler_tasks(EdenSystem& sys) {
   Machine& pe0 = sys.pe(0);
   std::vector<Obj*> chunks;
@@ -86,6 +89,51 @@ std::int64_t sim_sumeuler_oracle() {
   return read_int(res.value);
 }
 
+// Builds a topology on a fresh rig and runs it to completion.
+using ProcRun = std::function<EdenRtResult(ProcRig&)>;
+
+// Wall-clock makespan of a crash-free run of `run`'s topology.
+double crash_free_seconds(std::uint32_t n_pes, const ProcRun& run) {
+  ProcRig calm(n_pes);
+  return run(calm).seconds;
+}
+
+// A run whose kill landed. The rig stays alive with the result: its value
+// points into PE 0's heap.
+struct CrashRun {
+  std::unique_ptr<ProcRig> rig;
+  EdenRtResult res;
+  std::uint64_t crash_at = 0;
+};
+
+// Aims the plan's kill at `frac` of a crash-free run (`calm_s`), not at a
+// fixed offset a fast host finishes before. A kill lands when the
+// supervisor saw the death before the run ended: a run whose kill missed,
+// or fired so late that the root finished first, halves the offset and
+// retries, as bench/chaos_recovery.cpp does.
+CrashRun run_until_kill_lands(std::uint32_t n_pes, FaultPlan plan, double calm_s,
+                              double frac, const ProcRun& run) {
+  constexpr std::uint64_t kMinOffsetUs = 500;
+  plan.crash_at = std::max<std::uint64_t>(
+      kMinOffsetUs, static_cast<std::uint64_t>(calm_s * 1e6 * frac));
+  CrashRun c;
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    c.rig = std::make_unique<ProcRig>(n_pes, plan);
+    c.res = run(*c.rig);
+    c.crash_at = plan.crash_at;
+    const bool landed = c.res.faults.crashes > 0 && c.res.faults.detect_us > 0;
+    if (landed || plan.crash_at == kMinOffsetUs) break;
+    plan.crash_at = std::max(kMinOffsetUs, plan.crash_at / 2);
+  }
+  return c;
+}
+
+EdenRtResult run_sumeuler(ProcRig& r, net::ProcWire wire) {
+  Obj* partials = skel::par_map_reduce(*r.sys, r.prog.find("sumPhi"),
+                                       sumeuler_tasks(*r.sys));
+  return r.run_root("sum", {partials}, wire);
+}
+
 class ProcRt : public ::testing::TestWithParam<net::ProcWire> {};
 
 TEST_P(ProcRt, SumEulerMatchesSimOracleWithoutFaults) {
@@ -104,24 +152,24 @@ TEST_P(ProcRt, SumEulerMatchesSimOracleWithoutFaults) {
 
 TEST_P(ProcRt, KillDashNineNonRootPeMidComputationRecovers) {
   // The headline chaos test: a non-root PE is SIGKILLed for real at a
-  // seed-randomized wall-clock offset; the respawned incarnation
+  // seed-randomized share of a crash-free run; the respawned incarnation
   // recomputes, the survivors replay, and the value is exact.
   const std::int64_t oracle = sim_sumeuler_oracle();
+  const ProcRun run = [&](ProcRig& r) { return run_sumeuler(r, GetParam()); };
+  const double calm_s = crash_free_seconds(4, run);
   for (std::uint64_t seed : {11u, 23u, 47u}) {
     FaultPlan plan;
     plan.seed = seed;
     plan.crash_pe = 1 + static_cast<std::uint32_t>(seed % 3);  // PEs 1..3
-    plan.crash_at = 10000 + (seed * 7919) % 30000;             // 10-40ms in
     plan.restart_max = 5;
-    ProcRig r(4, plan);
-    Obj* partials = skel::par_map_reduce(*r.sys, r.prog.find("sumPhi"),
-                                         sumeuler_tasks(*r.sys));
-    EdenRtResult res = r.run_root("sum", {partials}, GetParam());
+    const double frac = 0.2 + 0.4 * static_cast<double>((seed * 7919) % 1000) / 1000.0;
+    CrashRun c = run_until_kill_lands(4, plan, calm_s, frac, run);
+    const EdenRtResult& res = c.res;
     ASSERT_FALSE(res.deadlocked) << res.diagnosis.describe();
     EXPECT_EQ(read_int(res.value), oracle) << "seed " << seed;
     EXPECT_EQ(read_int(res.value), sum_euler_reference(200));
     ASSERT_EQ(res.faults.crashes, 1u) << "seed " << seed
-        << ": the kill never fired (crash_at after completion?)";
+        << ": the kill never fired (last offset " << c.crash_at << " us)";
     EXPECT_GE(res.faults.restarts, 1u) << "seed " << seed;
     EXPECT_GT(res.faults.detect_us, 0u) << "seed " << seed;
   }
@@ -152,23 +200,26 @@ TEST(ProcChaos, RingApspSurvivesACrash) {
   const std::uint32_t p = 4;
   const std::size_t nb = n / p;
   DistMat dm = random_graph(n, 77);
+  const ProcRun run = [&](ProcRig& r) {
+    Machine& pe0 = r.sys->pe(0);
+    std::vector<Obj*> bundles;
+    for (std::uint32_t i = 0; i < p; ++i) {
+      DistMat bundle(dm.begin() + static_cast<std::ptrdiff_t>(i * nb),
+                     dm.begin() + static_cast<std::ptrdiff_t>((i + 1) * nb));
+      bundles.push_back(make_int_matrix(pe0, 0, bundle));
+    }
+    Obj* outs = skel::ring(*r.sys, r.prog.find("apspRingNode"), bundles,
+                           {static_cast<std::int64_t>(p), static_cast<std::int64_t>(nb)});
+    return r.run_root("apspCollect", {outs}, net::ProcWire::Shm);
+  };
   FaultPlan plan;
   plan.crash_pe = 2;
-  plan.crash_at = 6000;  // early enough to beat even a fast ring
-  ProcRig r(p + 1, plan);
-  Machine& pe0 = r.sys->pe(0);
-  std::vector<Obj*> bundles;
-  for (std::uint32_t i = 0; i < p; ++i) {
-    DistMat bundle(dm.begin() + static_cast<std::ptrdiff_t>(i * nb),
-                   dm.begin() + static_cast<std::ptrdiff_t>((i + 1) * nb));
-    bundles.push_back(make_int_matrix(pe0, 0, bundle));
-  }
-  Obj* outs = skel::ring(*r.sys, r.prog.find("apspRingNode"), bundles,
-                         {static_cast<std::int64_t>(p), static_cast<std::int64_t>(nb)});
-  EdenRtResult res = r.run_root("apspCollect", {outs}, net::ProcWire::Shm);
+  CrashRun c = run_until_kill_lands(p + 1, plan, crash_free_seconds(p + 1, run), 0.3, run);
+  const EdenRtResult& res = c.res;
   ASSERT_FALSE(res.deadlocked) << res.diagnosis.describe();
   EXPECT_EQ(read_int(res.value), apsp_checksum(floyd_warshall(dm)));
-  ASSERT_EQ(res.faults.crashes, 1u) << "the kill never fired";
+  ASSERT_EQ(res.faults.crashes, 1u)
+      << "the kill never fired (last offset " << c.crash_at << " us)";
   // The death was at least detected; the run may legally finish while
   // the respawn is still pending if the victim's output already shipped.
   EXPECT_GT(res.faults.detect_us, 0u);
@@ -179,16 +230,20 @@ TEST(ProcChaos, TorusCannonSurvivesACrashOverTcp) {
   // 16x16 (8x8 blocks per node) keeps every node busy well past the
   // crash offset — an 8x8 input can beat the kill to the finish line.
   Mat a = random_matrix(16, 21), bm = random_matrix(16, 22);
+  const ProcRun run = [&](ProcRig& r) {
+    std::vector<Obj*> inputs = make_cannon_inputs(r.sys->pe(0), a, bm, q);
+    Obj* blocks = skel::torus(*r.sys, r.prog.find("cannonNode"), q, inputs, {q});
+    return r.run_root("sumBlocks", {blocks}, net::ProcWire::Tcp);
+  };
   FaultPlan plan;
   plan.crash_pe = 1;
-  plan.crash_at = 6000;
-  ProcRig r(q * q + 1, plan);
-  std::vector<Obj*> inputs = make_cannon_inputs(r.sys->pe(0), a, bm, q);
-  Obj* blocks = skel::torus(*r.sys, r.prog.find("cannonNode"), q, inputs, {q});
-  EdenRtResult res = r.run_root("sumBlocks", {blocks}, net::ProcWire::Tcp);
+  CrashRun c = run_until_kill_lands(q * q + 1, plan, crash_free_seconds(q * q + 1, run),
+                                    0.3, run);
+  const EdenRtResult& res = c.res;
   ASSERT_FALSE(res.deadlocked) << res.diagnosis.describe();
   EXPECT_EQ(read_int(res.value), mat_checksum(matmul_reference(a, bm)));
-  ASSERT_EQ(res.faults.crashes, 1u) << "the kill never fired";
+  ASSERT_EQ(res.faults.crashes, 1u)
+      << "the kill never fired (last offset " << c.crash_at << " us)";
   EXPECT_GT(res.faults.detect_us, 0u);
 }
 

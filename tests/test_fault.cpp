@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "eden/eden.hpp"
+#include "overflow_case.hpp"
 #include "progs/apsp.hpp"
 #include "progs/sumeuler.hpp"
 #include "rig.hpp"
@@ -196,53 +197,14 @@ TEST(FaultHeap, AllocWithGcThrowsHeapOverflowWhenHopeless) {
   r.m->set_fault(nullptr);
 }
 
-TEST(FaultHeap, OverflowUnwindsOnlyTheVictimThread) {
-  Rig r([](Builder& b) { build_sumeuler(b); }, config_worksteal_eagerbh(1));
-  Machine& m = *r.m;
-  // A shared thunk the victim will be forcing when it dies: if kill_thread
-  // failed to restore the black hole, forcing it later would deadlock.
-  Obj* xs = make_int_list(m, 0, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
-  std::vector<Obj*> keep{xs};
-  RootGuard guard(m, keep);
-  Obj* th = make_apply_thunk(m, 0, r.prog.find("sumPhi"), {keep[0]});
-  keep.push_back(th);
-  Tso* victim = m.spawn_enter(keep[1], 0);
+class FaultHeapOverflow : public ::testing::TestWithParam<std::uint32_t> {};
 
-  FaultPlan p;
-  p.alloc_fail_at = 1;
-  p.alloc_fail_count = 1000;  // every allocation the victim ever tries fails
-  p.alloc_fail_tso = victim->id;
-  FaultInjector inj(p);
-  m.set_fault(&inj);
-
-  Tso* main_t =
-      m.spawn_apply(r.prog.find("sumPhi"), {make_int_list(m, 0, {21, 22, 23, 24, 25})}, 0);
-  SimDriver d(m, r.cost);
-  SimResult res = d.run(main_t);
-  m.set_fault(nullptr);
-
-  // The main thread is untouched...
-  ASSERT_FALSE(res.deadlocked);
-  std::int64_t expect = 0;
-  auto phi = [](std::int64_t k) {
-    return sum_euler_reference(k) - sum_euler_reference(k - 1);
-  };
-  for (int i = 21; i <= 25; ++i) expect += phi(i);
-  EXPECT_EQ(read_int(res.value), expect);
-  // ...the victim was unwound, alone, with its cause recorded...
-  EXPECT_EQ(res.heap_overflows, 1u);
-  EXPECT_EQ(m.stats().threads_killed, 1u);
-  EXPECT_EQ(victim->state, ThreadState::Finished);
-  EXPECT_STREQ(victim->error, "heap overflow");
-  EXPECT_EQ(victim->result, nullptr);
-  // ...and the thunk it had black-holed is a thunk again: another thread
-  // can evaluate it to the right answer.
-  Tso* again = m.spawn_enter(keep[1], 0);
-  SimDriver d2(m, r.cost);
-  SimResult res2 = d2.run(again);
-  ASSERT_FALSE(res2.deadlocked);
-  EXPECT_EQ(read_int(res2.value), sum_euler_reference(12));
+TEST_P(FaultHeapOverflow, UnwindsOnlyTheVictimThread) {
+  expect_overflow_unwinds_only_the_victim<SimDriver>(GetParam());
 }
+
+// The ThreadedDriver cases live in the OS-thread suite (test_threaded.cpp).
+INSTANTIATE_TEST_SUITE_P(Sim, FaultHeapOverflow, ::testing::Values(1u, 4u), caps_name);
 
 // --- deadlock diagnosis (satellite 3) ---------------------------------------
 

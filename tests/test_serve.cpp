@@ -14,9 +14,13 @@
 // contract is "degrade, never hang"), label `serving`.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <functional>
@@ -243,6 +247,59 @@ TEST(ServeWire, MalformedBodiesRejectedNotThrown) {
   junk.channel = 3;  // Eden ProcCtrl range
   EXPECT_FALSE(decode_reply(junk).has_value());
   EXPECT_FALSE(is_serve_op(junk));
+}
+
+// --- unit: client reply matching ---------------------------------------------
+
+struct Fd {
+  int fd;
+  ~Fd() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+TEST(ServeClient, WaitMatchesOutOfOrderRepliesAndTimesOut) {
+  // A local listener stands in for the daemon and answers 2 before 1.
+  const Fd listener{::socket(AF_INET, SOCK_STREAM, 0)};
+  const int lfd = listener.fd;
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  ServeClient client;
+  client.connect(ntohs(addr.sin_port));
+  const Fd server{::accept(lfd, nullptr, nullptr)};
+  const int sfd = server.fd;
+  ASSERT_GE(sfd, 0);
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t id : {2u, 1u}) {
+    ServeReply r;
+    r.op = ServeOp::Result;
+    r.id = id;
+    r.value = static_cast<std::int64_t>(id) * 100;
+    const std::vector<std::uint8_t> f = net::encode_frame(encode_reply(r));
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  ASSERT_EQ(::write(sfd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+
+  std::optional<ServeReply> r1 = client.wait(1, 10'000'000);
+  ASSERT_TRUE(r1.has_value());
+  EXPECT_EQ(r1->id, 1u);
+  EXPECT_EQ(r1->value, 100);
+  std::optional<ServeReply> r2 = client.wait(2, 10'000'000);  // from the stash
+  ASSERT_TRUE(r2.has_value());
+  EXPECT_EQ(r2->id, 2u);
+  EXPECT_EQ(r2->value, 200);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.wait(3, 50'000).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 }
 
 // --- daemon rig --------------------------------------------------------------
@@ -532,10 +589,16 @@ TEST(ServeDaemon, WorkerKillMidTrafficRetriesTransparently) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   rig.daemon->fleet().inject_kill(1);
+  // One deadline for all ten replies, inside the ctest TIMEOUT: a lost
+  // request fails naming its id instead of timing the whole test out.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(90);
   std::size_t results = 0;
   for (std::uint64_t id = 1; id <= 10; ++id) {
-    std::optional<ServeReply> r = rig.client.wait(id, 60'000'000);
-    ASSERT_TRUE(r.has_value()) << "id " << id;
+    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+        deadline - std::chrono::steady_clock::now());
+    std::optional<ServeReply> r = rig.client.wait(
+        id, static_cast<std::uint64_t>(std::max<std::int64_t>(left.count(), 0)));
+    ASSERT_TRUE(r.has_value()) << "id " << id << " got no reply before the deadline";
     ASSERT_EQ(r->op, ServeOp::Result) << "id " << id;
     EXPECT_EQ(r->value, want);
     results++;
@@ -595,6 +658,63 @@ TEST(ServeDaemon, HalfOpenProbeReadmitsHealthyPe) {
   rig.stop();
   EXPECT_GE(rig.daemon->fleet().stats().probes, 1u);
   EXPECT_EQ(rig.daemon->fleet().breaker_state(1), BreakerState::Closed);
+}
+
+TEST(ServeFleetChaos, RespawnedWorkerDropsItsPredecessorsSubmit) {
+  // A Submit the dead worker never read stays in the supervisor->PE ring.
+  // The respawned incarnation must drop it (it is stamped for the old
+  // one) rather than run it and refuse its own first request as busy.
+  const Program prog = make_serve_program();
+  FleetConfig cfg;
+  cfg.n_pes = 1;
+  cfg.worker_rts = config_worksteal_eagerbh(1);
+  cfg.worker_rts.heap.nursery_words = 256 * 1024;
+  ServeFleet fleet(prog, cfg);
+  fleet.start();
+  const pid_t first = fleet.pe_pid(0);
+  ASSERT_GT(first, 0);
+  ASSERT_EQ(kill(first, SIGSTOP), 0);  // it cannot read the Submit below
+  ServeRequest stale;
+  stale.id = 1;
+  stale.program = "sumeuler";
+  stale.params = {400, 25};
+  fleet.submit(0, stale, 0);
+  ASSERT_EQ(kill(first, SIGKILL), 0);
+
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::vector<std::uint64_t> lost;
+  while (fleet.pe_pid(0) <= 0 || fleet.pe_pid(0) == first) {
+    ASSERT_LT(std::chrono::steady_clock::now(), until) << "PE 0 never respawned";
+    FleetEvents ev = fleet.tick();
+    lost.insert(lost.end(), ev.lost_ids.begin(), ev.lost_ids.end());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(lost, std::vector<std::uint64_t>{1});
+
+  ServeRequest fresh;
+  fresh.id = 2;
+  fresh.program = "matmul";
+  fresh.params = {8, 1};
+  fleet.submit(0, fresh, 0);
+  std::optional<ServeReply> got;
+  while (!got) {
+    ASSERT_LT(std::chrono::steady_clock::now(), until) << "id 2 never answered";
+    for (const ServeReply& r : fleet.tick().replies) {
+      EXPECT_NE(r.id, 1u) << "the new incarnation ran its predecessor's Submit";
+      if (r.id == 2) got = r;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(got->op, ServeOp::Result) << got->error_text;
+  EXPECT_EQ(got->value, catalog_oracle("matmul", {8, 1}));
+  // Nothing for the stale id turns up later either.
+  const auto grace = std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < grace) {
+    for (const ServeReply& r : fleet.tick().replies)
+      EXPECT_NE(r.id, 1u) << "a reply for the stale Submit arrived";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  fleet.drain();
 }
 
 // --- daemon: graceful drain --------------------------------------------------

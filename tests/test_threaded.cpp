@@ -4,6 +4,7 @@
 // from the virtual-time driver (see DESIGN.md §2).
 #include <gtest/gtest.h>
 
+#include "overflow_case.hpp"
 #include "progs/sumeuler.hpp"
 #include "rig.hpp"
 #include "rts/threaded.hpp"
@@ -23,6 +24,16 @@ std::int64_t run_threaded(const RtsConfig& cfg, const std::string& fn,
   if (res.deadlocked) return -1;
   return read_int(res.value);
 }
+
+class FaultHeapOverflow : public ::testing::TestWithParam<std::uint32_t> {};
+
+// The heap-overflow escalation on real threads; the SimDriver cases live
+// in test_fault.cpp.
+TEST_P(FaultHeapOverflow, UnwindsOnlyTheVictimThread) {
+  expect_overflow_unwinds_only_the_victim<ThreadedDriver>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Threaded, FaultHeapOverflow, ::testing::Values(1u, 4u), caps_name);
 
 class ThreadedConfigs : public ::testing::TestWithParam<int> {};
 

@@ -34,10 +34,14 @@
 # Each iteration exports a fresh PARHASK_SCHED_SEED, which the seeded tests
 # pick up to derive their delay decisions. A data race found by TSan is
 # therefore reproducible: re-export the seed printed on the failing line and
-# re-run the same ctest command. With --asan an AddressSanitizer pass over
-# the gc label follows the TSan sweep (one iteration — ASan failures are
-# not schedule-dependent): the block-structured to-space is exactly where a
-# bad carve would read out of bounds, and the chaos label puts ASan inside
+# re-run the same ctest command. Each seed then runs the serving and chaos
+# labels once more as a parallel pass (`ctest -j8`): forked fleets competing
+# for the cores are what exposed the stale-frame, client-wait and
+# missed-kill bugs, none of which showed in serial runs. With --asan an
+# AddressSanitizer pass over the gc label follows the TSan sweep (one
+# iteration — ASan failures are not schedule-dependent): the
+# block-structured to-space is exactly where a bad carve would read out of
+# bounds, and the chaos label puts ASan inside
 # the supervisor's frame handling and the workers' replay paths, and the
 # serving label walks the daemon's wire decode, per-request Machines and
 # drain teardown under the same instrumentation; the bytecode label runs
@@ -67,18 +71,24 @@ cmake --build "$build_dir" -j "$(nproc)"
 # second_deadlock_stack gives both sides of lock-order reports.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
+passes=(
+  "ctest -L 'schedtest|threaded|gc|eden_rt|chaos|serving|bytecode' --output-on-failure"
+  "ctest -L 'serving|chaos' -j8 --output-on-failure"
+)
+
 fail=0
-for ((i = 0; i < iterations; ++i)); do
+for ((i = 0; i < iterations && fail == 0; ++i)); do
   seed=$((base_seed + i))
   echo "=== tsan_stress: seed $seed ($((i + 1))/$iterations) ==="
-  if ! (cd "$build_dir" && PARHASK_SCHED_SEED=$seed \
-        ctest -L 'schedtest|threaded|gc|eden_rt|chaos|serving|bytecode' --output-on-failure); then
-    echo "tsan_stress: FAILURE at PARHASK_SCHED_SEED=$seed" >&2
-    echo "reproduce with:" >&2
-    echo "  cd $build_dir && PARHASK_SCHED_SEED=$seed ctest -L 'schedtest|threaded|gc|eden_rt|chaos|serving|bytecode' --output-on-failure" >&2
-    fail=1
-    break
-  fi
+  for pass in "${passes[@]}"; do
+    if ! (cd "$build_dir" && export PARHASK_SCHED_SEED=$seed && eval "$pass"); then
+      echo "tsan_stress: FAILURE at PARHASK_SCHED_SEED=$seed" >&2
+      echo "reproduce with:" >&2
+      echo "  cd $build_dir && PARHASK_SCHED_SEED=$seed $pass" >&2
+      fail=1
+      break
+    fi
+  done
 done
 
 if [[ $fail -eq 0 && $run_asan -eq 1 ]]; then
