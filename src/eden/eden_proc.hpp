@@ -4,42 +4,41 @@
 // Where EdenThreadedDriver gives every PE a thread, this driver fork()s
 // every PE into its own worker *process* over a ProcTransport (net/proc):
 // fork-inherited shared-memory frame rings or a pre-connected TCP mesh.
-// The parent process never computes; it is the wall-clock supervisor:
+// The parent process never computes; it supervises through a
+// net::Supervisor (net/supervisor.hpp), which forks the workers, books
+// their heartbeats, detects deaths (waitpid reaping, heartbeat silence),
+// respawns under backoff and a per-PE restart budget (-FR), and executes
+// FaultPlan crash entries (-Fc<pe>@<t>) as real signals at wall-clock
+// offset t µs. What stays Eden's:
 //
-//   * every worker heartbeats the supervisor endpoint (MsgKind::Heartbeat,
-//     exempt from fault injection) with its progress/idle/unacked state;
-//   * the supervisor detects PE death two ways — waitpid(WNOHANG) reaping
-//     (a SIGKILLed child) and heartbeat silence (a wedged child, which is
-//     then SIGKILLed for real before being replaced);
-//   * a dead PE is re-forked from the parent's pristine post-topology
-//     image under exponential backoff and a per-PE restart budget
-//     (FaultPlan::restart_max). The replacement recomputes from scratch —
-//     sound because Eden processes are pure — while the survivors, told
-//     via a RestartNotify ctrl frame, bump the dead PE's channel epochs
-//     and replay their send logs into it (EdenSystem::rt_restart_notify),
-//     exactly the sim supervisor's repoint-and-replay against real wires.
-//   * FaultPlan crash entries (-Fc<pe>@<t>) are executed as real
-//     kill(SIGKILL) at wall-clock offset t µs; with the budget exhausted
-//     the run degrades gracefully into a structured RtsInternalError
-//     naming the lost PE instead of wedging.
+//   * the heartbeat payload (progress, idle, unacked sends, GC and replay
+//     totals) — a dead incarnation can no longer report final counters,
+//     so its last snapshot is the record of what it did;
+//   * recovery: a respawned PE recomputes from scratch — sound because
+//     Eden processes are pure — while the live survivors, told via a
+//     RestartNotify ctrl frame, bump the dead PE's channel epochs and
+//     replay their send logs into it (EdenSystem::rt_restart_notify),
+//     exactly the sim supervisor's repoint-and-replay against real wires;
+//   * an exhausted restart budget ends the run with a structured
+//     RtsInternalError naming the lost PE instead of wedging;
+//   * Done/Stats: the root's worker ships the packed result, and every
+//     worker ships its final counters on Shutdown.
 //
 // Quiescence cannot rely on a dead PE's unacked counts (they died with
-// it): the supervisor instead watches the heartbeat payloads — all
-// workers idle with nothing unacked and no progress for a full window,
-// with no respawn pending, is declared a distributed deadlock.
+// it): the driver instead watches the heartbeat payloads — all workers
+// idle with nothing unacked and no progress for a full window, with no
+// respawn pending, is declared a distributed deadlock.
 #pragma once
 
 #include <sys/types.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "eden/eden_rt.hpp"
-#include "net/proc.hpp"
+#include "net/supervisor.hpp"
 
 namespace ph {
 
@@ -53,14 +52,13 @@ enum class ProcCtrl : std::uint64_t {
   Stats = 5,          // worker → supervisor: final counters (kStatsWords)
 };
 
-class EdenProcDriver {
+class EdenProcDriver : private net::Supervisor::Driver {
  public:
   /// The system must be configured with --eden-transport=proc. `wire`
   /// picks the inter-process medium; `ring_bytes` sizes the shm rings.
   explicit EdenProcDriver(EdenSystem& sys, TraceLog* trace = nullptr,
                           net::ProcWire wire = net::ProcWire::Shm,
                           std::size_t ring_bytes = std::size_t{1} << 22);
-  ~EdenProcDriver();
 
   /// Runs until `root` finishes (on any PE — the owning worker packs the
   /// result and ships it home), the system deadlocks, or a PE exhausts
@@ -68,10 +66,6 @@ class EdenProcDriver {
   /// The topology must be fully built before this call: the workers are
   /// forked from this image, and every respawn re-forks it.
   EdenRtResult run(Tso* root);
-
-  /// The pid of PE `pe`'s current worker process (-1 while dead/awaiting
-  /// respawn). Exposed so chaos tests can aim their own SIGKILLs.
-  pid_t pe_pid(std::uint32_t pe) const { return slots_.at(pe).pid; }
 
   /// Cross-thread graceful stop. The supervisor loop notices the flag on
   /// its next tick — even mid-computation — sends Shutdown to every live
@@ -85,54 +79,40 @@ class EdenProcDriver {
   /// Every worker pid this driver ever forked, including replaced
   /// incarnations — for post-run hygiene asserts: after run() returns,
   /// none of these may remain a child (zombie or live) of the caller.
-  std::vector<pid_t> spawned_pids() const {
-    std::lock_guard<std::mutex> lk(spawned_mu_);
-    return spawned_;
-  }
+  std::vector<pid_t> spawned_pids() const { return sup_.spawned_pids(); }
 
   /// Chaos-suite hook: the signal the plan's crash entry delivers (default
   /// SIGKILL). SIGSTOP wedges the worker instead of killing it, so only
   /// heartbeat silence — not waitpid — can expose the death; the chaos
   /// suite uses it to pin the silence-detection path deterministically.
-  void set_crash_signal(int sig) { crash_signal_ = sig; }
+  void set_crash_signal(int sig) { sup_.set_crash_signal(sig); }
 
  private:
-  struct PeSlot {
-    pid_t pid = -1;
-    std::uint32_t deaths = 0;        // incarnations spent (restarts = deaths)
-    std::uint64_t last_beat = 0;     // µs; spawn time pre-credits a grace
-    std::uint64_t respawn_at = 0;    // 0 = not awaiting respawn
-    // Last heartbeat payload (quiescence inputs + the running totals a
-    // dead incarnation can no longer report itself).
+  /// The last heartbeat payload of a PE's live incarnation: quiescence
+  /// inputs plus the running totals a dead incarnation can no longer
+  /// report itself.
+  struct Beat {
+    bool seen = false;  // this incarnation has reported at least once
     std::uint64_t progress = 0;
-    std::uint64_t unacked = 0;
     bool idle = false;
-    bool beat_seen = false;  // this incarnation has reported at least once
-    std::uint64_t hb_gc = 0, hb_ovf = 0, hb_replayed = 0, hb_replay_us = 0;
+    std::uint64_t unacked = 0;
+    std::uint64_t gc = 0, ovf = 0, replayed = 0, replay_us = 0;
   };
 
-  void spawn(std::uint32_t pe, Tso* root, std::uint64_t now);
-  [[noreturn]] void child_main(std::uint32_t pe, Tso* root);
-  void on_death(std::uint32_t pe, std::uint64_t now, const char* how);
-  void drain_supervisor(std::uint64_t now);
+  void worker_main(net::Supervisor::Worker& w) override;
+  void on_frame(net::DataMsg& m) override;
+  void on_spawn(std::uint32_t pe) override;
+  void on_kill(std::uint32_t pe) override;
+  void on_death(std::uint32_t pe, const char* how, bool tripped) override;
   void merge_stats(const Packet& p);
-  void shutdown_children();
-  void kill_all();
-  void note(std::uint32_t pe, std::uint64_t t, const std::string& text);
+  void note(std::uint32_t pe, const std::string& text);
 
   EdenSystem& sys_;
-  std::unique_ptr<net::ProcTransport> transport_;
   TraceLog* trace_;
-
-  std::vector<PeSlot> slots_;
-  std::vector<std::uint64_t> incarn_;  // restart count per PE (= channel epochs)
+  net::Supervisor sup_;
+  Tso* root_ = nullptr;
+  std::vector<Beat> beats_;
   std::atomic<bool> shutdown_requested_{false};
-  mutable std::mutex spawned_mu_;
-  std::vector<pid_t> spawned_;  // every pid ever forked (see spawned_pids)
-  int crash_signal_ = 9;               // SIGKILL; see set_crash_signal
-  bool crash_fired_ = false;           // the plan's -Fc kill has been executed
-  std::uint64_t crash_kill_us_ = 0;    // when it was, for detection latency
-  bool detect_recorded_ = false;
   bool finished_ = false;
   std::optional<Packet> result_packet_;
   EdenRtResult result_;

@@ -1,5 +1,5 @@
-// ProcTransport: the process-capable middleware for the fork-per-PE Eden
-// deployment (EdenProcDriver). Every wire resource is created *before*
+// ProcTransport: the process-capable middleware for the fork-per-PE
+// drivers (net::Supervisor's wire). Every wire resource is created *before*
 // fork(), in the parent, so worker processes inherit working links and a
 // re-forked replacement for a SIGKILLed PE finds the same links intact.
 //

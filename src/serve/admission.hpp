@@ -1,20 +1,13 @@
-// Admission control and the per-PE circuit breaker.
+// Admission control: load shedding. The daemon's queue is bounded; past
+// capacity a submit is answered with Overloaded{queue_depth,
+// retry_after_us} instead of being queued — an unbounded queue under
+// sustained overload turns every latency into the queue drain time and
+// eventually OOMs the daemon. The retry hint is Little's-law shaped:
+// depth × EWMA service time / healthy workers, i.e. roughly when the
+// *current* backlog will have drained.
 //
-// Load shedding: the daemon's queue is bounded; past capacity a submit is
-// answered with Overloaded{queue_depth, retry_after_us} instead of being
-// queued — an unbounded queue under sustained overload turns every
-// latency into the queue drain time and eventually OOMs the daemon. The
-// retry hint is Little's-law shaped: depth × EWMA service time / healthy
-// workers, i.e. roughly when the *current* backlog will have drained.
-//
-// Circuit breaker: PR 6's supervisor throws RtsInternalError when a PE
-// exhausts its restart budget — correct for a batch run, fatal for a
-// daemon. Here budget exhaustion trips the PE's breaker to Open: the PE
-// is quarantined (no respawn, no placement) and the rest of the fleet
-// keeps serving. After a cooldown the breaker goes HalfOpen and the
-// fleet respawns one probe incarnation; a request served successfully
-// closes the breaker (budget forgiven), a probe death re-opens it with a
-// fresh cooldown.
+// The per-PE restart budget that quarantines a crashing worker (the
+// CircuitBreaker) belongs to the process supervisor: net/supervisor.hpp.
 #pragma once
 
 #include <cstdint>
@@ -53,62 +46,6 @@ class AdmissionController {
  private:
   std::size_t capacity_;
   double ewma_us_ = 0.0;
-};
-
-enum class BreakerState : std::uint8_t { Closed, Open, HalfOpen };
-
-inline const char* breaker_state_name(BreakerState s) {
-  switch (s) {
-    case BreakerState::Closed: return "Closed";
-    case BreakerState::Open: return "Open";
-    case BreakerState::HalfOpen: return "HalfOpen";
-  }
-  return "?";
-}
-
-class CircuitBreaker {
- public:
-  CircuitBreaker(std::uint32_t death_budget, std::uint64_t cooldown_us)
-      : budget_(death_budget), cooldown_us_(cooldown_us) {}
-
-  BreakerState state(std::uint64_t now) const {
-    if (!open_) return BreakerState::Closed;
-    return now >= opened_at_ + cooldown_us_ ? BreakerState::HalfOpen
-                                            : BreakerState::Open;
-  }
-
-  /// One worker death. Returns true when this death tripped the breaker
-  /// (budget exhausted, or the HalfOpen probe died).
-  bool on_death(std::uint64_t now) {
-    if (open_) {
-      // Probe incarnation died: re-open with a fresh cooldown.
-      opened_at_ = now;
-      return true;
-    }
-    if (++deaths_ > budget_) {
-      open_ = true;
-      opened_at_ = now;
-      return true;
-    }
-    return false;
-  }
-
-  /// A request served to completion proves the PE healthy: a HalfOpen
-  /// probe closes the breaker and the death budget is forgiven.
-  void on_served_ok(std::uint64_t now) {
-    if (open_ && state(now) == BreakerState::HalfOpen) open_ = false;
-    if (!open_) deaths_ = 0;
-  }
-
-  std::uint32_t deaths() const { return deaths_; }
-  bool tripped() const { return open_; }
-
- private:
-  std::uint32_t budget_;
-  std::uint64_t cooldown_us_;
-  std::uint32_t deaths_ = 0;
-  bool open_ = false;
-  std::uint64_t opened_at_ = 0;
 };
 
 }  // namespace ph::serve

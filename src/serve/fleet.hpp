@@ -1,31 +1,31 @@
 // ServeFleet — a persistent fork-per-PE worker pool for phserved.
 //
-// The supervision architecture is EdenProcDriver's (PR 6) re-aimed at a
-// daemon: workers are forked once over a pre-built net::ProcTransport
-// (shm byte rings or framed localhost TCP — every wire resource exists
-// before fork, so nothing leaks when a child is SIGKILLed), announce
-// liveness with MsgKind::Heartbeat frames, and are reaped by
-// waitpid(WNOHANG) plus heartbeat-silence detection. The differences are
-// what "long-lived" forces:
+// Supervision is a net::Supervisor (net/supervisor.hpp), the same one
+// EdenProcDriver uses: workers are forked once over a pre-built
+// net::ProcTransport (shm byte rings or framed localhost TCP — every wire
+// resource exists before fork, so nothing leaks when a child is
+// SIGKILLed), announce liveness with heartbeats, and are reaped by
+// waitpid(WNOHANG) plus heartbeat-silence detection; frames to a worker
+// are stamped with its incarnation. What the fleet keeps is what
+// "long-lived" forces:
 //
 //   * no fixed topology — a worker executes catalog requests on a fresh
 //     per-request Machine instead of a fork-frozen Eden process graph, so
 //     the fleet outlives any one computation;
+//   * dispatch — one request in flight per worker, least recently used
+//     first; the request a dying worker held comes back as a lost id;
 //   * deadline/cancel propagation — each request's absolute deadline
 //     travels in its Submit frame and is enforced *inside* Machine::step
 //     via the cooperative cancel hook, which doubles as the worker's
 //     heartbeat tick and control-plane poll;
-//   * a circuit breaker instead of RtsInternalError — exhausting the
-//     restart budget (-FR) quarantines the PE (breaker Open) and the
-//     fleet keeps serving on the survivors; a HalfOpen probe respawn
-//     later readmits the PE if it proves healthy;
+//   * quarantine instead of RtsInternalError — a PE whose restart budget
+//     (-FR) is exhausted is not placed on while its breaker is Open, and
+//     the fleet keeps serving on the survivors; the supervisor's HalfOpen
+//     probe respawn readmits it once a request served there closes the
+//     breaker;
 //   * graceful drain — Shutdown lets a busy worker finish its in-flight
 //     request, ship final stats and _Exit(0); stragglers are killed after
-//     a bounded grace so drain cannot hang the daemon;
-//   * incarnation-safe control frames — Submit and Cancel carry the
-//     slot's death count as DataMsg::epoch, and a worker drops frames
-//     stamped for another incarnation, since the supervisor->PE ring
-//     outlives a killed worker together with its unread frames.
+//     a bounded grace so drain cannot hang the daemon.
 //
 // The supervisor side is single-threaded and non-blocking: the daemon's
 // event loop calls tick() which never sleeps.
@@ -33,16 +33,12 @@
 
 #include <sys/types.h>
 
-#include <atomic>
-#include <chrono>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "net/proc.hpp"
+#include "net/supervisor.hpp"
 #include "rts/fault.hpp"
-#include "serve/admission.hpp"
 #include "serve/catalog.hpp"
 #include "serve/wire.hpp"
 
@@ -65,14 +61,10 @@ struct FleetConfig {
   std::function<void()> post_fork_child;
 };
 
-struct FleetStats {
-  std::uint64_t deaths = 0;
-  std::uint64_t respawns = 0;
-  std::uint64_t quarantines = 0;  // breaker trips into Open
-  std::uint64_t probes = 0;       // HalfOpen respawn attempts
-  std::uint64_t executed = 0;     // requests completed by workers (final Stats)
-  std::uint64_t killed = 0;       // request threads killed in workers
-  std::uint64_t chaos_kills = 0;  // -Fc / inject_kill SIGKILLs delivered
+/// The supervisor's counters plus the workers' final WorkerStats.
+struct FleetStats : net::SupervisorStats {
+  std::uint64_t executed = 0;  // requests completed by workers
+  std::uint64_t killed = 0;    // request threads killed in workers
 };
 
 /// One tick()'s worth of supervisor observations.
@@ -81,10 +73,9 @@ struct FleetEvents {
   std::vector<std::uint64_t> lost_ids;   // in-flight ids whose PE died
 };
 
-class ServeFleet {
+class ServeFleet : private net::Supervisor::Driver {
  public:
   ServeFleet(const Program& prog, FleetConfig cfg);
-  ~ServeFleet();
   ServeFleet(const ServeFleet&) = delete;
   ServeFleet& operator=(const ServeFleet&) = delete;
 
@@ -116,43 +107,28 @@ class ServeFleet {
   /// Queues a SIGKILL for `pe`, delivered on the next tick. Safe to call
   /// from another thread (tests race it against live traffic).
   void inject_kill(std::uint32_t pe);
-  BreakerState breaker_state(std::uint32_t pe) const;
-  const FleetStats& stats() const { return stats_; }
-  std::vector<pid_t> spawned_pids() const;  // every pid ever forked
+  net::BreakerState breaker_state(std::uint32_t pe) const;
+  FleetStats stats() const;
+  std::vector<pid_t> spawned_pids() const { return sup_.spawned_pids(); }
 
  private:
   struct Slot {
-    pid_t pid = -1;
-    std::uint64_t deaths = 0;  // also names the live incarnation
-    std::uint64_t last_beat = 0;
-    bool beat_seen = false;
-    std::uint64_t respawn_at = 0;  // 0 = none scheduled
-    bool probe = false;            // current incarnation is a HalfOpen probe
     std::optional<std::uint64_t> inflight;  // request id being executed
     std::uint64_t last_dispatch = 0;        // LRU tiebreak for pick_worker
   };
 
-  void spawn(std::uint32_t pe);
-  void on_death(std::uint32_t pe, std::uint64_t now, const char* how,
-                FleetEvents& ev);
-  void reap_and_detect(std::uint64_t now, FleetEvents& ev);
-  void drain_frames(std::uint64_t now, FleetEvents* ev);
-  [[noreturn]] void worker_main(std::uint32_t pe);
+  void worker_main(net::Supervisor::Worker& w) override;
+  void on_frame(net::DataMsg& m) override;
+  void on_death(std::uint32_t pe, const char* how, bool tripped) override;
 
   const Program& prog_;
   FleetConfig cfg_;
   FaultInjector injector_;
-  std::unique_ptr<net::ProcTransport> transport_;
+  net::Supervisor sup_;
   std::vector<Slot> slots_;
-  std::vector<CircuitBreaker> breakers_;
-  std::vector<pid_t> spawned_;
-  FleetStats stats_;
-  std::chrono::steady_clock::time_point epoch_;
-  std::uint64_t hb_interval_us_ = 0;
-  std::uint64_t hb_timeout_us_ = 0;
-  bool started_ = false;
-  bool chaos_fired_ = false;
-  std::atomic<std::int32_t> kill_request_{-1};  // pe index, -1 = none
+  std::uint64_t executed_ = 0;  // from the workers' final WorkerStats
+  std::uint64_t killed_ = 0;
+  FleetEvents* events_ = nullptr;  // the tick() in progress, if any
 };
 
 }  // namespace ph::serve

@@ -67,9 +67,11 @@ std::optional<std::string> unpack_string(const std::vector<Word>& words,
                                          std::size_t& pos) {
   std::uint64_t len = 0;
   if (!take(words, pos, len)) return std::nullopt;
+  // Bound the length word before any arithmetic on it: (len + 7) wraps
+  // for the top seven values of a hostile 64-bit length.
+  if (len > kMaxStringWords * 8) return std::nullopt;
   const std::size_t n_words = (len + 7) / 8;
-  if (n_words > kMaxStringWords || pos + n_words > words.size())
-    return std::nullopt;
+  if (pos + n_words > words.size()) return std::nullopt;
   std::string s(static_cast<std::size_t>(len), '\0');
   for (std::size_t i = 0; i < len; i += 8) {
     std::uint64_t w = static_cast<std::uint64_t>(words[pos++]);

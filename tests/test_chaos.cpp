@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "eden/eden_proc.hpp"
+#include "orphan_case.hpp"
 #include "progs/apsp.hpp"
 #include "progs/matmul.hpp"
 #include "progs/sumeuler.hpp"
@@ -63,14 +64,16 @@ struct ProcRig {
   }
 };
 
-// 1..200 in 20 chunks: enough work that a kill aimed at a share of the
-// run lands mid-computation, and every non-root PE holds several tasks.
-std::vector<Obj*> sumeuler_tasks(EdenSystem& sys) {
+// 1..n in 20 chunks; n = 200 is enough work that a kill aimed at a share
+// of the run lands mid-computation, and every non-root PE holds several
+// tasks.
+std::vector<Obj*> sumeuler_tasks(EdenSystem& sys, std::int64_t n = 200) {
   Machine& pe0 = sys.pe(0);
   std::vector<Obj*> chunks;
-  for (std::int64_t lo = 1; lo <= 200; lo += 10) {
+  const std::int64_t step = n / 20;
+  for (std::int64_t lo = 1; lo <= n; lo += step) {
     std::vector<std::int64_t> chunk;
-    for (std::int64_t k = lo; k < lo + 10; ++k) chunk.push_back(k);
+    for (std::int64_t k = lo; k < lo + step; ++k) chunk.push_back(k);
     chunks.push_back(make_int_list(pe0, 0, chunk));
   }
   return chunks;
@@ -328,6 +331,22 @@ TEST(ProcChaos, GracefulShutdownMidComputationReapsAllWorkers) {
           << "leaked shm segment " << e->d_name;
     closedir(shm);
   }
+}
+
+TEST(ProcChaos, WorkersExitWhenTheirSupervisorDiesMidRun) {
+  expect_workers_exit_with_their_supervisor(4, [](int fd) {
+    // 25 times the work of sumEuler(200): the kill lands mid-computation.
+    ProcRig r(4);
+    Obj* partials = skel::par_map_reduce(*r.sys, r.prog.find("sumPhi"),
+                                         sumeuler_tasks(*r.sys, 1000));
+    Tso* root = skel::root_apply(*r.sys, r.prog.find("sum"), {partials});
+    EdenProcDriver d(*r.sys, nullptr, net::ProcWire::Shm);
+    std::thread runner([&] { d.run(root); });
+    while (d.spawned_pids().size() < 4)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    report_worker_pids(fd, d.spawned_pids());
+    runner.join();
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Wires, ProcRt,

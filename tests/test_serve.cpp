@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -28,6 +29,7 @@
 #include <thread>
 
 #include "eval/bytecode.hpp"
+#include "orphan_case.hpp"
 #include "serve/admission.hpp"
 #include "serve/client.hpp"
 #include "serve/dedup.hpp"
@@ -39,6 +41,8 @@ namespace ph::test {
 namespace {
 
 using namespace ph::serve;
+using net::BreakerState;
+using net::CircuitBreaker;
 
 // --- unit: latency histogram -------------------------------------------------
 
@@ -241,6 +245,17 @@ TEST(ServeWire, MalformedBodiesRejectedNotThrown) {
   net::DataMsg big = encode_submit(ServeRequest{1, 0, "x", {}});
   big.packet.words[1] = std::uint64_t{1} << 40;
   EXPECT_FALSE(decode_submit(big).has_value());
+  // Lengths whose (len + 7) / 8 wraps to 0 must not reach std::string.
+  for (const std::uint64_t len : {~std::uint64_t{0}, ~std::uint64_t{0} - 6}) {
+    big.packet.words[1] = len;
+    EXPECT_FALSE(decode_submit(big).has_value()) << len;
+    ServeReply err;
+    err.op = ServeOp::Error;
+    err.error_text = "boom";
+    net::DataMsg reply = encode_reply(err);
+    reply.packet.words[1] = len;
+    EXPECT_FALSE(decode_reply(reply).has_value()) << len;
+  }
   // Reply with an op that is not a serve op.
   net::DataMsg junk;
   junk.kind = net::MsgKind::Ctrl;
@@ -444,6 +459,47 @@ TEST(ServeDaemon, UnknownProgramAndBadParamsAreStructuredErrors) {
   r = rig.ask(3, "matmul", {6, 1});
   ASSERT_TRUE(r && r->op == ServeOp::Result);
   EXPECT_EQ(r->value, catalog_oracle("matmul", {6, 1}));
+}
+
+TEST(ServeDaemon, WrappingStringLengthIsABadRequestNotACrash) {
+  // One CRC-valid Submit whose name length is ~0: a decoder that lets the
+  // length wrap throws out of read_conn and aborts the whole daemon.
+  DaemonRig rig;
+  const Fd raw{::socket(AF_INET, SOCK_STREAM, 0)};
+  ASSERT_GE(raw.fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(rig.daemon->port());
+  ASSERT_EQ(::connect(raw.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  net::DataMsg m = encode_submit(ServeRequest{7, 0, "x", {}});
+  m.packet.words[1] = ~std::uint64_t{0};
+  const std::vector<std::uint8_t> frame = net::encode_frame(m);
+  ASSERT_EQ(::write(raw.fd, frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size()));
+
+  net::FrameReader reader;
+  std::optional<ServeReply> bad;
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!bad && std::chrono::steady_clock::now() < until) {
+    pollfd pfd{raw.fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    std::uint8_t buf[4096];
+    const ssize_t n = ::read(raw.fd, buf, sizeof(buf));
+    ASSERT_GT(n, 0) << "the daemon closed the connection";
+    reader.feed(buf, static_cast<std::size_t>(n));
+    net::DataMsg got;
+    if (reader.next(got)) bad = decode_reply(got);
+  }
+  ASSERT_TRUE(bad.has_value()) << "no reply to the malformed submit";
+  ASSERT_EQ(bad->op, ServeOp::Error);
+  EXPECT_EQ(bad->id, 7u);
+  EXPECT_EQ(bad->error, ServeError::BadRequest);
+  std::optional<ServeReply> r = rig.ask(8, "matmul", {8, 1});
+  ASSERT_TRUE(r && r->op == ServeOp::Result);
+  EXPECT_EQ(r->value, catalog_oracle("matmul", {8, 1}));
+  rig.stop();
+  EXPECT_EQ(rig.daemon->stats().bad_requests, 1u);
 }
 
 // --- daemon: deadlines and cancellation --------------------------------------
@@ -715,6 +771,85 @@ TEST(ServeFleetChaos, RespawnedWorkerDropsItsPredecessorsSubmit) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   fleet.drain();
+}
+
+TEST(ServeFleetChaos, HeartbeatSilenceLosesTheRequestAndRespawns) {
+  // SIGSTOP the worker mid-request: it never becomes reapable, so only
+  // heartbeat silence can expose it. No tick runs before the stop, so the
+  // heartbeats the worker sent while computing are drained after it, and
+  // the silence clock cannot start before the stop.
+  const Program prog = make_serve_program();
+  FleetConfig cfg;
+  cfg.n_pes = 1;
+  cfg.worker_rts = config_worksteal_eagerbh(1);
+  cfg.worker_rts.heap.nursery_words = 256 * 1024;
+  const FaultPlan plan = cfg.fault;
+  ServeFleet fleet(prog, cfg);
+  fleet.start();
+  const pid_t first = fleet.pe_pid(0);
+  ASSERT_GT(first, 0);
+  ServeRequest heavy;
+  heavy.id = 1;
+  heavy.program = "sumeuler";
+  heavy.params = {400, 25};
+  fleet.submit(0, heavy, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // computing
+  const std::uint64_t stopped_at = fleet.now_us();
+  ASSERT_EQ(kill(first, SIGSTOP), 0);
+
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::vector<std::uint64_t> lost;
+  std::uint64_t lost_at = 0;
+  while (lost.empty()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), until) << "the wedged worker was never lost";
+    lost = fleet.tick().lost_ids;
+    lost_at = fleet.now_us();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(lost, std::vector<std::uint64_t>{1});
+  // The silence floor (50 ms) or the plan's timeout, whichever is larger.
+  const std::uint64_t timeout_us =
+      std::max<std::uint64_t>({plan.heartbeat_timeout, 50'000, 4 * 2'000});
+  EXPECT_GE(lost_at - stopped_at, timeout_us) << "reaped, not detected by silence";
+  EXPECT_EQ(fleet.stats().deaths, 1u);
+
+  while (fleet.pe_pid(0) <= 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), until) << "PE 0 never respawned";
+    fleet.tick();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_NE(fleet.pe_pid(0), first);
+  ServeRequest next;
+  next.id = 2;
+  next.program = "sumeuler";
+  next.params = {60, 10};
+  fleet.submit(0, next, 0);
+  std::optional<ServeReply> got;
+  while (!got) {
+    ASSERT_LT(std::chrono::steady_clock::now(), until) << "id 2 never answered";
+    for (const ServeReply& r : fleet.tick().replies)
+      if (r.id == 2) got = r;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(got->op, ServeOp::Result) << got->error_text;
+  EXPECT_EQ(got->value, catalog_oracle("sumeuler", {60, 10}));
+  fleet.drain();
+}
+
+TEST(ServeFleetChaos, WorkersExitWhenTheirSupervisorDies) {
+  expect_workers_exit_with_their_supervisor(2, [](int fd) {
+    const Program prog = make_serve_program();
+    FleetConfig cfg;
+    cfg.n_pes = 2;
+    cfg.worker_rts = config_worksteal_eagerbh(1);
+    ServeFleet fleet(prog, cfg);
+    fleet.start();
+    report_worker_pids(fd, {fleet.pe_pid(0), fleet.pe_pid(1)});
+    for (;;) {
+      fleet.tick();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
 }
 
 // --- daemon: graceful drain --------------------------------------------------

@@ -19,12 +19,18 @@
 #               the freeze-based quiescence protocol;
 #   chaos     — EdenProcDriver kill -9 survival: forked workers really
 #               SIGKILLed mid-run, supervisor reap/heartbeat detection,
-#               restart + send-log replay (TSan sees only the supervisor
-#               process — the forked single-threaded workers re-exec
-#               nothing, so their side is exercised, not instrumented);
+#               restart + send-log replay, and workers exiting once their
+#               supervisor is gone
+#               (ProcChaos.WorkersExitWhenTheirSupervisorDiesMidRun). TSan
+#               sees only the supervisor process — the forked
+#               single-threaded workers re-exec nothing, so their side is
+#               exercised, not instrumented;
 #   serving   — phserved end-to-end robustness: the ServeDaemon event loop
 #               (client thread vs daemon thread), the forked worker fleet,
-#               admission/dedup/breaker policies under chaos kills and the
+#               admission/dedup/breaker policies under chaos kills, the
+#               fleet's silence detection and orphaned workers
+#               (ServeFleetChaos.HeartbeatSilenceLosesTheRequestAndRespawns,
+#               ServeFleetChaos.WorkersExitWhenTheirSupervisorDies) and the
 #               graceful drain path;
 #   bytecode  — the bytecode backend: the interpreter-vs-bytecode
 #               differential fuzzer on the sim and OS-thread drivers (engine
@@ -37,7 +43,11 @@
 # re-run the same ctest command. Each seed then runs the serving and chaos
 # labels once more as a parallel pass (`ctest -j8`): forked fleets competing
 # for the cores are what exposed the stale-frame, client-wait and
-# missed-kill bugs, none of which showed in serial runs. With --asan an
+# missed-kill bugs, none of which showed in serial runs. After every pass
+# and a 1 s grace, any process still running a binary from the build's
+# tests/ or bench/ directory is a leaked worker: the script prints its pid
+# and command line, kills it and fails, since a leaked worker would keep
+# a core busy through every later pass. With --asan an
 # AddressSanitizer pass over the gc label follows the TSan sweep (one
 # iteration — ASan failures are not schedule-dependent): the
 # block-structured to-space is exactly where a bad carve would read out of
@@ -66,6 +76,25 @@ build_dir=${TSAN_BUILD_DIR:-"$repo_root/build-tsan"}
 
 cmake -B "$build_dir" -S "$repo_root" -DPARHASK_SANITIZE=thread
 cmake --build "$build_dir" -j "$(nproc)"
+build_dir=$(cd "$build_dir" && pwd -P)  # /proc/<pid>/exe names real paths
+
+# Kills and reports every live process started from a test or bench
+# binary under build dir $1; fails when there was one.
+reap_leaked_workers() {
+  local dir=$1 p exe leaked=0
+  sleep 1
+  for p in /proc/[0-9]*; do
+    exe=$(readlink "$p/exe" 2>/dev/null) || continue
+    case $exe in
+      "$dir"/tests/* | "$dir"/bench/*)
+        echo "tsan_stress: leaked process ${p#/proc/}: $(tr '\0' ' ' <"$p/cmdline" 2>/dev/null)" >&2
+        kill -9 "${p#/proc/}" 2>/dev/null || true
+        leaked=1
+        ;;
+    esac
+  done
+  return $leaked
+}
 
 # halt_on_error so the first race fails the run instead of scrolling past;
 # second_deadlock_stack gives both sides of lock-order reports.
@@ -81,11 +110,12 @@ for ((i = 0; i < iterations && fail == 0; ++i)); do
   seed=$((base_seed + i))
   echo "=== tsan_stress: seed $seed ($((i + 1))/$iterations) ==="
   for pass in "${passes[@]}"; do
-    if ! (cd "$build_dir" && export PARHASK_SCHED_SEED=$seed && eval "$pass"); then
+    (cd "$build_dir" && export PARHASK_SCHED_SEED=$seed && eval "$pass") || fail=1
+    reap_leaked_workers "$build_dir" || fail=1
+    if [[ $fail -ne 0 ]]; then
       echo "tsan_stress: FAILURE at PARHASK_SCHED_SEED=$seed" >&2
       echo "reproduce with:" >&2
       echo "  cd $build_dir && PARHASK_SCHED_SEED=$seed $pass" >&2
-      fail=1
       break
     fi
   done
@@ -96,9 +126,10 @@ if [[ $fail -eq 0 && $run_asan -eq 1 ]]; then
   echo "=== tsan_stress: ASan pass over the gc, chaos and serving labels ==="
   cmake -B "$asan_dir" -S "$repo_root" -DPARHASK_SANITIZE=address
   cmake --build "$asan_dir" -j "$(nproc)"
-  if ! (cd "$asan_dir" && ctest -L 'gc|chaos|serving|bytecode' --output-on-failure); then
+  (cd "$asan_dir" && ctest -L 'gc|chaos|serving|bytecode' --output-on-failure) || fail=1
+  reap_leaked_workers "$(cd "$asan_dir" && pwd -P)" || fail=1
+  if [[ $fail -ne 0 ]]; then
     echo "tsan_stress: ASan FAILURE (ctest -L 'gc|chaos|serving|bytecode' in $asan_dir)" >&2
-    fail=1
   fi
 fi
 
