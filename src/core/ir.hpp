@@ -26,7 +26,7 @@ enum class PrimOp : std::uint8_t {
   Add,
   Sub,
   Mul,
-  Div,   // truncated toward zero; Div/Mod by zero raises EvalError
+  Div,   // Haskell's flooring div/mod, Int wraps: see eval/prim.hpp
   Mod,
   Neg,
   Min,

@@ -599,11 +599,11 @@ NativeAction EdenSystem::nf_stream_step(Machine& m, Capability&, Tso& t, std::si
   Obj* head = v->ptr_payload()[0];
   Obj* tail = v->ptr_payload()[1];
   f.native = &EdenSystem::nf_stream_after_head;
-  f.ptrs.assign(1, tail);
+  f.obj = tail;
   Frame force;
   force.kind = FrameKind::ForceDeep;
   force.obj = nullptr;
-  t.stack.push_back(std::move(force));  // invalidates f
+  t.stack.push_back(force);  // invalidates f
   t.code.mode = CodeMode::Enter;
   t.code.ptr = head;
   t.code.env.clear();
@@ -615,8 +615,8 @@ NativeAction EdenSystem::nf_stream_after_head(Machine& m, Capability&, Tso& t,
   EdenSystem* sys = sys_of(m);
   Frame& f = t.stack[fi];
   sys->send_stream_elem(m.pe_id, f.aux, v);
-  Obj* tail = f.ptrs[0];
-  f.ptrs.clear();
+  Obj* tail = f.obj;
+  f.obj = nullptr;
   f.native = &EdenSystem::nf_stream_step;
   t.code.mode = CodeMode::Enter;
   t.code.ptr = tail;

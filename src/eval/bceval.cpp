@@ -12,31 +12,22 @@
 // instruction — the mid-block analogue of retrying an interpreter step.
 //
 // Suspension points (forcing a non-WHNF object, making a call) push a
-// FrameKind::Bytecode continuation carrying the saved environment, the
-// saved operand stack and the resume pc; the shared Enter/Ret machinery
-// (locking, black holes, updates, scheduling hooks) then runs unchanged,
-// and the returned WHNF is pushed back onto the restored operand stack.
+// FrameKind::Bytecode continuation recording the resume pc, and append
+// the environment and the operand stack to the thread's value stack; the
+// shared Enter/Ret machinery (locking, black holes, updates, scheduling
+// hooks) then runs unchanged, and a resume copies both back into the Code
+// register, whose buffers keep their capacity, and pushes the returned
+// WHNF onto the operand stack.
 #include <cassert>
 
 #include "eval/bytecode.hpp"
+#include "eval/prim.hpp"
 #include "rts/machine.hpp"
 #include "rts/schedtest.hpp"
 
 namespace ph {
 
 namespace {
-
-// Haskell-compatible flooring division/modulus (mirrors eval.cpp).
-std::int64_t hs_div(std::int64_t a, std::int64_t b) {
-  std::int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-std::int64_t hs_mod(std::int64_t a, std::int64_t b) {
-  std::int64_t r = a % b;
-  if (r != 0 && ((r < 0) != (b < 0))) r += b;
-  return r;
-}
 
 // Upper bound on blocks chained per step. Large enough that dispatch
 // overhead is amortised away, small enough that a step stays a short
@@ -91,6 +82,32 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
 
   std::uint32_t pc = 0;
 
+  // Suspends the block as a Bytecode frame resuming at `resume_pc`; the
+  // environment and operand stack are saved on the value stack.
+  auto suspend = [&](std::uint32_t resume_pc) {
+    Frame f;
+    f.kind = FrameKind::Bytecode;
+    f.expr = t.code.expr;
+    f.aux = resume_pc;
+    t.push_frame(f, env, sk.data(), static_cast<std::uint32_t>(sk.size()));
+    sk.clear();
+  };
+  // A WHNF `v` returning into the suspended block on top of the stack:
+  // restore its environment and operand stack, push `v`, continue at the
+  // resume pc.
+  auto resume = [&](Obj* v) {
+    const Frame& f = t.stack.back();
+    Obj** saved = t.top_values();
+    env.assign(saved, saved + f.nenv);
+    sk.assign(saved + f.nenv, saved + f.saved());
+    sk.push_back(v);
+    pc = static_cast<std::uint32_t>(f.aux);
+    t.code.expr = f.expr;
+    t.pop_frame();
+    t.code.mode = CodeMode::Eval;
+    t.code.ptr = nullptr;
+  };
+
   // The shared Enter transition (eval.cpp CodeMode::Enter: yield hooks,
   // object locking, black-holing, blocking) run inline so a thunk force
   // or a generic apply doesn't cost a scheduler round trip. The caller
@@ -117,22 +134,18 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
       // handles under/over-saturation and uncompiled bodies).
       if (seen == ObjKind::Pap && !t.stack.empty() &&
           t.stack.back().kind == FrameKind::Apply) {
-        Frame& af = t.stack.back();
         const GlobalId fun = p->pap_fun();
         const Global& g = prog_.global(fun);
         const std::uint32_t have = p->pap_nargs();
-        const auto given = static_cast<std::uint32_t>(af.ptrs.size());
+        const std::uint32_t given = t.stack.back().nvals;
         const std::uint32_t entry =
             blob.entries[static_cast<std::size_t>(g.body)];
         if (have + given == static_cast<std::uint32_t>(g.arity) &&
             entry != bc::kNoEntry) {
-          env.clear();
-          env.reserve(g.arity);
-          for (std::uint32_t i = 0; i < have; ++i)
-            env.push_back(p->ptr_payload()[1 + i]);
-          for (std::uint32_t i = 0; i < given; ++i)
-            env.push_back(af.ptrs[i]);
-          t.stack.pop_back();
+          Obj** args = t.top_values();
+          env.assign(p->ptr_payload() + 1, p->ptr_payload() + 1 + have);
+          env.insert(env.end(), args, args + given);
+          t.pop_frame();
           t.code.mode = CodeMode::Eval;
           t.code.expr = g.body;
           t.code.ptr = nullptr;
@@ -143,15 +156,7 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
       // A value returning into a suspended bytecode block: restore it.
       if (!t.stack.empty() &&
           t.stack.back().kind == FrameKind::Bytecode) {
-        Frame& bf = t.stack.back();
-        env = std::move(bf.env);
-        sk = std::move(bf.ptrs);
-        sk.push_back(p);
-        pc = static_cast<std::uint32_t>(bf.aux);
-        t.code.expr = bf.expr;
-        t.stack.pop_back();
-        t.code.mode = CodeMode::Eval;
-        t.code.ptr = nullptr;
+        resume(p);
         return EnterAction::Chained;
       }
       return EnterAction::Return;
@@ -164,7 +169,7 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
         uf.kind = FrameKind::Update;
         uf.obj = p;
         uf.expr = body;  // black-holing overwrites it in the object
-        t.stack.push_back(std::move(uf));
+        t.stack.push_back(uf);
         if (cfg_.blackhole == BlackholePolicy::Eager) {
           p->payload()[0] = kNoQueue;
           set_kind_release(p, ObjKind::BlackHole);
@@ -200,18 +205,8 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
   };
 
   if (t.code.mode == CodeMode::Ret) {
-    // A value returning into a suspended block: restore the saved
-    // environment/operand stack, push the WHNF, continue at the resume pc.
-    Frame& f = t.stack.back();
-    assert(f.kind == FrameKind::Bytecode);
-    env = std::move(f.env);
-    sk = std::move(f.ptrs);
-    sk.push_back(t.code.ptr);
-    pc = static_cast<std::uint32_t>(f.aux);
-    t.code.expr = f.expr;
-    t.stack.pop_back();
-    t.code.mode = CodeMode::Eval;
-    t.code.ptr = nullptr;
+    assert(t.stack.back().kind == FrameKind::Bytecode);
+    resume(t.code.ptr);
   } else if (t.code.bc_pc != kNoBytecodePc) {
     pc = t.code.bc_pc;  // NeedGc retry of one instruction
     t.code.bc_pc = kNoBytecodePc;
@@ -303,15 +298,8 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
         // hook below can run (a scenario controller may park us here, and
         // kill_thread unwinds threads from between-step states).
         sk.pop_back();
-        Frame f;
-        f.kind = FrameKind::Bytecode;
-        f.expr = t.code.expr;
-        f.aux = pc;
-        f.env = std::move(env);
-        f.ptrs = std::move(sk);
-        t.stack.push_back(std::move(f));
+        suspend(pc);
         env.clear();
-        sk.clear();
         t.code.mode = CodeMode::Enter;
         t.code.ptr = v;
         if (--fuel <= 0) return StepOutcome::Ok;
@@ -335,31 +323,9 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
             throw EvalError(std::string("non-integer operand for ") + prim_op_name(pop));
         const std::int64_t y = sk.back()->int_value();
         const std::int64_t x = n >= 2 ? sk[sk.size() - n]->int_value() : 0;
-        Obj* r = nullptr;
-        switch (pop) {
-          case PrimOp::Add: r = make_int(x + y); break;
-          case PrimOp::Sub: r = make_int(x - y); break;
-          case PrimOp::Mul: r = make_int(x * y); break;
-          case PrimOp::Div:
-            if (y == 0) throw EvalError("division by zero");
-            r = make_int(hs_div(x, y));
-            break;
-          case PrimOp::Mod:
-            if (y == 0) throw EvalError("modulus by zero");
-            r = make_int(hs_mod(x, y));
-            break;
-          case PrimOp::Neg: r = make_int(-y); break;
-          case PrimOp::Min: r = make_int(x < y ? x : y); break;
-          case PrimOp::Max: r = make_int(x > y ? x : y); break;
-          case PrimOp::Eq: r = static_con(x == y ? 1 : 0); break;
-          case PrimOp::Ne: r = static_con(x != y ? 1 : 0); break;
-          case PrimOp::Lt: r = static_con(x < y ? 1 : 0); break;
-          case PrimOp::Le: r = static_con(x <= y ? 1 : 0); break;
-          case PrimOp::Gt: r = static_con(x > y ? 1 : 0); break;
-          case PrimOp::Ge: r = static_con(x >= y ? 1 : 0); break;
-          case PrimOp::Error:
-            throw EvalError("error# called with value " + std::to_string(y));
-        }
+        const PrimResult pr = apply_prim(pop, x, y);
+        Obj* r = pr.is_bool ? static_con(static_cast<std::uint16_t>(pr.value))
+                            : make_int(pr.value);
         if (oom) {
           t.code.bc_pc = at;
           return StepOutcome::NeedGc;
@@ -489,18 +455,11 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
         pc = code[pc];
         continue;
 
-      case bc::Op::PushFrame: {
-        Frame f;
-        f.kind = FrameKind::Bytecode;
-        f.expr = t.code.expr;
-        f.aux = code[pc];
-        f.env = env;  // copy: the block keeps using env for the arguments
-        f.ptrs = std::move(sk);
-        t.stack.push_back(std::move(f));
-        sk.clear();
+      case bc::Op::PushFrame:
+        suspend(code[pc]);  // the block keeps using env for the arguments
         pc += 1;
         continue;
-      }
+
 
       case bc::Op::CallGlobal: {
         const Global& gl = prog_.global(static_cast<GlobalId>(code[pc]));
@@ -524,9 +483,8 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
         const std::uint32_t n = code[pc];
         Frame f;
         f.kind = FrameKind::Apply;
-        f.ptrs.assign(sk.end() - n, sk.end());
+        t.push_frame(f, {}, sk.data() + (sk.size() - n), n);
         sk.resize(sk.size() - n);
-        t.stack.push_back(std::move(f));
         pc += 1;
         continue;
       }
@@ -546,7 +504,7 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
         while (!t.stack.empty() &&
                t.stack.back().kind == FrameKind::Update && --fuel > 0) {
           update(c, t.stack.back().obj, v);
-          t.stack.pop_back();
+          t.pop_frame();
         }
         if (!t.stack.empty() &&
             t.stack.back().kind == FrameKind::Bytecode && --fuel > 0) {
@@ -554,13 +512,7 @@ StepOutcome Machine::step_bytecode(Capability& c, Tso& t) {
           // CodeMode::Ret entry path above, chained without a scheduler
           // round trip. Update/Case/Apply frames still take the shared
           // Ret machinery (thunk updates, black-hole wakeups).
-          Frame& f = t.stack.back();
-          env = std::move(f.env);
-          sk = std::move(f.ptrs);
-          sk.push_back(v);
-          pc = static_cast<std::uint32_t>(f.aux);
-          t.code.expr = f.expr;
-          t.stack.pop_back();
+          resume(v);
           continue;
         }
         t.code.mode = CodeMode::Ret;

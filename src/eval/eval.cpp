@@ -14,29 +14,20 @@
 //  * a thread entering a black hole blocks on its wait queue;
 //  * an update finding an indirection means the evaluation was duplicated
 //    (possible under lazy black-holing) — counted, and the result dropped.
+//
+// A step builds its temporaries in place, in the thread's Code register
+// and on its value stack (Tso::vstack), and truncates them again before
+// returning NeedGc. Once those buffers have grown to the program's needs,
+// pushing and popping frames and building temporaries allocate no C++
+// heap memory.
 #include <cassert>
 
 #include "eval/bytecode.hpp"
+#include "eval/prim.hpp"
 #include "rts/machine.hpp"
 #include "rts/schedtest.hpp"
 
 namespace ph {
-
-namespace {
-
-/// Haskell-compatible flooring division/modulus.
-std::int64_t hs_div(std::int64_t a, std::int64_t b) {
-  std::int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-std::int64_t hs_mod(std::int64_t a, std::int64_t b) {
-  std::int64_t r = a % b;
-  if (r != 0 && ((r < 0) != (b < 0))) r += b;
-  return r;
-}
-
-}  // namespace
 
 StepOutcome Machine::step(Capability& c, Tso& t) {
   // Cooperative cancellation: throttled so an unarmed machine pays one
@@ -91,27 +82,38 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
     if (o != nullptr) o->payload()[0] = static_cast<Word>(v);
     return o;
   };
-  // Atomic expressions evaluate without building a thunk. Returns nullptr
-  // for non-atoms. `env_limit` guards letrec: a Var naming a
-  // not-yet-bound sibling binder is not atomic.
-  auto atom = [&](ExprId eid, const Env& env, std::size_t env_limit) -> Obj* {
+  // Atomic expressions evaluate without building a thunk. `env_limit`
+  // guards letrec: a Var naming a not-yet-bound sibling binder is not
+  // atomic.
+  auto is_atom = [&](ExprId eid, std::size_t env_limit) -> bool {
     const Expr& e = prog_.expr(eid);
     switch (e.tag) {
       case ExprTag::Var:
-        if (static_cast<std::size_t>(e.a) < env_limit) return env[static_cast<std::size_t>(e.a)];
-        return nullptr;
+        return static_cast<std::size_t>(e.a) < env_limit;
+      case ExprTag::Lit:
+      case ExprTag::Global:
+        return true;
+      case ExprTag::Con:
+        return e.kids.empty() && static_con(static_cast<std::uint16_t>(e.a)) != nullptr;
+      default:
+        return false;
+    }
+  };
+  // The value of an atom, or nullptr for a non-atom.
+  auto atom = [&](ExprId eid, const Env& env, std::size_t env_limit) -> Obj* {
+    if (!is_atom(eid, env_limit)) return nullptr;
+    const Expr& e = prog_.expr(eid);
+    switch (e.tag) {
+      case ExprTag::Var:
+        return env[static_cast<std::size_t>(e.a)];
       case ExprTag::Lit:
         return make_int(e.lit);  // may set oom
       case ExprTag::Global: {
         const Global& g = prog_.global(e.a);
         return g.arity > 0 ? static_fun(e.a) : caf_cell(e.a);
       }
-      case ExprTag::Con:
-        if (e.kids.empty())
-          if (Obj* s = static_con(static_cast<std::uint16_t>(e.a))) return s;
-        return nullptr;
-      default:
-        return nullptr;
+      default:  // a nullary constructor with a static instance
+        return static_con(static_cast<std::uint16_t>(e.a));
     }
   };
   auto make_thunk = [&](ExprId eid, const Env& env) -> Obj* {
@@ -163,49 +165,51 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
           return StepOutcome::Ok;
         }
         case ExprTag::App: {
-          std::vector<Obj*> args;
-          args.reserve(e.kids.size() - 1);
+          // The arguments go straight onto the value stack as the Apply
+          // frame's saved values.
+          const std::size_t base = t.vstack.size();
           for (std::size_t i = 1; i < e.kids.size(); ++i) {
             Obj* a = arg_obj(e.kids[i], t.code.env);
-            if (oom) return StepOutcome::NeedGc;
-            args.push_back(a);
+            if (oom) {
+              t.vstack.resize(base);
+              return StepOutcome::NeedGc;
+            }
+            t.vstack.push_back(a);
           }
           Frame f;
           f.kind = FrameKind::Apply;
-          f.ptrs = std::move(args);
-          t.stack.push_back(std::move(f));
+          f.nvals = static_cast<std::uint32_t>(e.kids.size() - 1);
+          t.stack.push_back(f);
           t.code.expr = e.kids[0];  // evaluate the function (env unchanged)
           return StepOutcome::Ok;
         }
         case ExprTag::Let: {
           const std::size_t n = e.kids.size() - 1;
-          const std::size_t base = t.code.env.size();
+          Env& env = t.code.env;
+          const std::size_t base = env.size();
           const std::size_t new_size = base + n;
-          // Pass 1: create binder objects. Atoms (w.r.t. the outer scope)
-          // bind directly; everything else gets a thunk whose environment
-          // will include all the letrec binders.
-          std::vector<Obj*> binders(n, nullptr);
-          std::vector<bool> is_thunk(n, false);
+          // Pass 1: create binder objects straight into the extended
+          // environment (truncated again if an allocation fails). Atoms
+          // (w.r.t. the outer scope) bind directly; everything else gets
+          // a thunk whose environment will include all the letrec binders.
           for (std::size_t i = 0; i < n; ++i) {
-            if (Obj* a = atom(e.kids[i], t.code.env, base)) {
-              binders[i] = a;
-            } else {
-              if (oom) return StepOutcome::NeedGc;
-              Obj* th = alloc(ObjKind::Thunk, 0, static_cast<std::uint32_t>(1 + new_size));
-              if (oom) return StepOutcome::NeedGc;
-              th->payload()[0] = static_cast<Word>(e.kids[i]);
-              binders[i] = th;
-              is_thunk[i] = true;
+            Obj* b = atom(e.kids[i], env, base);
+            if (b == nullptr && !oom) {
+              b = alloc(ObjKind::Thunk, 0, static_cast<std::uint32_t>(1 + new_size));
+              if (b != nullptr) b->payload()[0] = static_cast<Word>(e.kids[i]);
             }
+            if (oom) {
+              env.resize(base);
+              return StepOutcome::NeedGc;
+            }
+            env.push_back(b);
           }
-          // Pass 2 (no allocation, safe to mutate): extend the
-          // environment and tie the recursive knots.
-          t.code.env.resize(new_size);
-          for (std::size_t i = 0; i < n; ++i) t.code.env[base + i] = binders[i];
+          // Pass 2 (no allocation): tie the recursive knots. A binder is a
+          // thunk of this Let exactly when its expression is no atom.
           for (std::size_t i = 0; i < n; ++i) {
-            if (!is_thunk[i]) continue;
-            for (std::size_t j = 0; j < new_size; ++j)
-              binders[i]->ptr_payload()[1 + j] = t.code.env[j];
+            if (is_atom(e.kids[i], base)) continue;
+            Obj* th = env[base + i];
+            for (std::size_t j = 0; j < new_size; ++j) th->ptr_payload()[1 + j] = env[j];
           }
           t.code.expr = e.kids[n];
           return StepOutcome::Ok;
@@ -214,8 +218,7 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
           Frame f;
           f.kind = FrameKind::Case;
           f.expr = t.code.expr;
-          f.env = t.code.env;  // copy: the scrutinee eval consumes code.env
-          t.stack.push_back(std::move(f));
+          t.push_frame(f, t.code.env);  // a copy: the scrutinee consumes code.env
           t.code.expr = e.kids[0];
           return StepOutcome::Ok;
         }
@@ -229,17 +232,24 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
             t.code.env.clear();
             return StepOutcome::Ok;
           }
-          std::vector<Obj*> fields;
-          fields.reserve(e.kids.size());
+          // The fields are built on top of the value stack, then copied
+          // into the constructor, which is allocated last.
+          const std::size_t base = t.vstack.size();
           for (ExprId k : e.kids) {
             Obj* a = arg_obj(k, t.code.env);
-            if (oom) return StepOutcome::NeedGc;
-            fields.push_back(a);
+            if (oom) break;
+            t.vstack.push_back(a);
           }
-          Obj* v = alloc(ObjKind::Con, static_cast<std::uint16_t>(e.a),
-                         static_cast<std::uint32_t>(fields.size()));
-          if (oom) return StepOutcome::NeedGc;
-          for (std::size_t i = 0; i < fields.size(); ++i) v->ptr_payload()[i] = fields[i];
+          Obj* v = nullptr;
+          if (!oom)
+            v = alloc(ObjKind::Con, static_cast<std::uint16_t>(e.a),
+                      static_cast<std::uint32_t>(e.kids.size()));
+          if (oom) {
+            t.vstack.resize(base);
+            return StepOutcome::NeedGc;
+          }
+          for (std::size_t i = 0; i < e.kids.size(); ++i) v->ptr_payload()[i] = t.vstack[base + i];
+          t.vstack.resize(base);
           t.code.mode = CodeMode::Ret;
           t.code.ptr = v;
           t.code.env.clear();
@@ -249,9 +259,8 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
           Frame f;
           f.kind = FrameKind::Prim;
           f.expr = t.code.expr;
-          f.env = t.code.env;
           f.idx = 1;  // next operand to evaluate after kids[0]
-          t.stack.push_back(std::move(f));
+          t.push_frame(f, t.code.env);
           t.code.expr = e.kids[0];
           return StepOutcome::Ok;
         }
@@ -268,8 +277,7 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
           Frame f;
           f.kind = FrameKind::Seq;
           f.expr = e.kids[1];
-          f.env = t.code.env;
-          t.stack.push_back(std::move(f));
+          t.push_frame(f, t.code.env);
           t.code.expr = e.kids[0];
           return StepOutcome::Ok;
         }
@@ -308,21 +316,20 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
       switch (p->kind) {
         case ObjKind::Thunk: {
           const ExprId body = p->thunk_expr();
-          Env env(p->ptr_payload() + 1, p->ptr_payload() + p->size);
           Frame f;
           f.kind = FrameKind::Update;
           f.obj = p;
           // Record the body in the frame: black-holing overwrites it in the
           // object, and kill_thread needs it to restore the thunk.
           f.expr = body;
-          t.stack.push_back(std::move(f));
+          t.stack.push_back(f);
           if (cfg_.blackhole == BlackholePolicy::Eager) {
             p->payload()[0] = kNoQueue;
             set_kind_release(p, ObjKind::BlackHole);
           }
           t.code.mode = CodeMode::Eval;
           t.code.expr = body;
-          t.code.env = std::move(env);
+          t.code.env.assign(p->ptr_payload() + 1, p->ptr_payload() + p->size);
           t.code.ptr = nullptr;
           return StepOutcome::Ok;
         }
@@ -358,7 +365,7 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
       switch (f.kind) {
         case FrameKind::Update: {
           update(c, f.obj, v);
-          t.stack.pop_back();
+          t.pop_frame();
           return StepOutcome::Ok;  // still Ret(v), next frame next step
         }
         case FrameKind::Case: {
@@ -379,30 +386,26 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
           } else {
             throw EvalError("case scrutinee is not a constructor or integer");
           }
-          Env env = std::move(f.env);
+          if (chosen == nullptr && e.dflt == kNoExpr)
+            throw EvalError("pattern-match failure (no alternative matched)");
+          if (chosen != nullptr && v->kind == ObjKind::Con &&
+              chosen->arity != static_cast<std::int32_t>(v->size))
+            throw EvalError("constructor arity mismatch in case alternative");
+          Env& env = t.code.env;
+          Obj** saved = t.top_values();
+          env.assign(saved, saved + f.nenv);
+          t.code.mode = CodeMode::Eval;
+          t.code.ptr = nullptr;
           if (chosen != nullptr) {
-            if (v->kind == ObjKind::Con &&
-                chosen->arity != static_cast<std::int32_t>(v->size))
-              throw EvalError("constructor arity mismatch in case alternative");
             for (std::int32_t i = 0; i < chosen->arity; ++i)
               env.push_back(v->ptr_payload()[i]);
-            t.stack.pop_back();
-            t.code.mode = CodeMode::Eval;
             t.code.expr = chosen->body;
-            t.code.env = std::move(env);
-            t.code.ptr = nullptr;
-            return StepOutcome::Ok;
-          }
-          if (e.dflt != kNoExpr) {
+          } else {
             if (e.a != 0) env.push_back(v);  // default binds the scrutinee
-            t.stack.pop_back();
-            t.code.mode = CodeMode::Eval;
             t.code.expr = e.dflt;
-            t.code.env = std::move(env);
-            t.code.ptr = nullptr;
-            return StepOutcome::Ok;
           }
-          throw EvalError("pattern-match failure (no alternative matched)");
+          t.pop_frame();
+          return StepOutcome::Ok;
         }
         case FrameKind::Apply: {
           if (v->kind != ObjKind::Pap)
@@ -410,9 +413,10 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
           const GlobalId fun = v->pap_fun();
           const Global& g = prog_.global(fun);
           const std::uint32_t have = v->pap_nargs();
-          const std::uint32_t given = static_cast<std::uint32_t>(f.ptrs.size());
+          const std::uint32_t given = f.nvals;
           const std::uint32_t arity = static_cast<std::uint32_t>(g.arity);
           const std::uint32_t total = have + given;
+          Obj** args = t.top_values();
           if (total < arity) {
             Obj* pap = alloc(ObjKind::Pap, 0, 1 + total);
             if (oom) return StepOutcome::NeedGc;
@@ -420,25 +424,24 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
             for (std::uint32_t i = 0; i < have; ++i)
               pap->ptr_payload()[1 + i] = v->ptr_payload()[1 + i];
             for (std::uint32_t i = 0; i < given; ++i)
-              pap->ptr_payload()[1 + have + i] = f.ptrs[i];
-            t.stack.pop_back();
+              pap->ptr_payload()[1 + have + i] = args[i];
+            t.pop_frame();
             t.code.ptr = pap;  // still Ret
             return StepOutcome::Ok;
           }
           const std::uint32_t consumed = arity - have;
-          Env env;
-          env.reserve(arity);
-          for (std::uint32_t i = 0; i < have; ++i) env.push_back(v->ptr_payload()[1 + i]);
-          for (std::uint32_t i = 0; i < consumed; ++i) env.push_back(f.ptrs[i]);
+          Env& env = t.code.env;
+          env.assign(v->ptr_payload() + 1, v->ptr_payload() + 1 + have);
+          env.insert(env.end(), args, args + consumed);
           if (total == arity) {
-            t.stack.pop_back();
+            t.pop_frame();
           } else {
             // Over-application: keep the frame with the leftover args.
-            f.ptrs.erase(f.ptrs.begin(), f.ptrs.begin() + consumed);
+            t.vstack.erase(t.vstack.end() - given, t.vstack.end() - given + consumed);
+            f.nvals -= consumed;
           }
           t.code.mode = CodeMode::Eval;
           t.code.expr = g.body;
-          t.code.env = std::move(env);
           t.code.ptr = nullptr;
           return StepOutcome::Ok;
         }
@@ -447,53 +450,34 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
           const auto op = static_cast<PrimOp>(e.a);
           if (v->kind != ObjKind::Int)
             throw EvalError(std::string("non-integer operand for ") + prim_op_name(op));
-          if (f.ptrs.size() + 1 < e.kids.size()) {
-            // More operands to evaluate.
-            f.ptrs.push_back(v);
+          if (f.nvals + 1 < e.kids.size()) {
+            // More operands to evaluate, each under the saved environment.
+            t.vstack.push_back(v);
+            f.nvals++;
+            Obj** saved = t.top_values();
             t.code.mode = CodeMode::Eval;
             t.code.expr = e.kids[f.idx++];
-            t.code.env = f.env;
+            t.code.env.assign(saved, saved + f.nenv);
             t.code.ptr = nullptr;
             return StepOutcome::Ok;
           }
           const std::int64_t y = v->int_value();
-          const std::int64_t x = f.ptrs.empty() ? 0 : f.ptrs[0]->int_value();
-          Obj* r = nullptr;
-          switch (op) {
-            case PrimOp::Add: r = make_int(x + y); break;
-            case PrimOp::Sub: r = make_int(x - y); break;
-            case PrimOp::Mul: r = make_int(x * y); break;
-            case PrimOp::Div:
-              if (y == 0) throw EvalError("division by zero");
-              r = make_int(hs_div(x, y));
-              break;
-            case PrimOp::Mod:
-              if (y == 0) throw EvalError("modulus by zero");
-              r = make_int(hs_mod(x, y));
-              break;
-            case PrimOp::Neg: r = make_int(-y); break;
-            case PrimOp::Min: r = make_int(x < y ? x : y); break;
-            case PrimOp::Max: r = make_int(x > y ? x : y); break;
-            case PrimOp::Eq: r = static_con(x == y ? 1 : 0); break;
-            case PrimOp::Ne: r = static_con(x != y ? 1 : 0); break;
-            case PrimOp::Lt: r = static_con(x < y ? 1 : 0); break;
-            case PrimOp::Le: r = static_con(x <= y ? 1 : 0); break;
-            case PrimOp::Gt: r = static_con(x > y ? 1 : 0); break;
-            case PrimOp::Ge: r = static_con(x >= y ? 1 : 0); break;
-            case PrimOp::Error:
-              throw EvalError("error# called with value " + std::to_string(y));
-          }
+          const std::int64_t x = f.nvals == 0 ? 0 : t.top_values()[f.nenv]->int_value();
+          const PrimResult pr = apply_prim(op, x, y);
+          Obj* r = pr.is_bool ? static_con(static_cast<std::uint16_t>(pr.value))
+                              : make_int(pr.value);
           if (oom) return StepOutcome::NeedGc;
-          t.stack.pop_back();
+          t.pop_frame();
           t.code.ptr = r;  // still Ret
           return StepOutcome::Ok;
         }
         case FrameKind::Seq: {
+          Obj** saved = t.top_values();
           t.code.mode = CodeMode::Eval;
           t.code.expr = f.expr;
-          t.code.env = std::move(f.env);
+          t.code.env.assign(saved, saved + f.nenv);
           t.code.ptr = nullptr;
-          t.stack.pop_back();
+          t.pop_frame();
           return StepOutcome::Ok;
         }
         case FrameKind::ForceDeep: {
@@ -502,7 +486,7 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
               f.obj = v;
               f.idx = 0;
             } else {
-              t.stack.pop_back();
+              t.pop_frame();
               return StepOutcome::Ok;  // WHNF == NF here; still Ret(v)
             }
           }
@@ -513,12 +497,12 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
             Frame sub;
             sub.kind = FrameKind::ForceDeep;
             sub.obj = nullptr;
-            t.stack.push_back(std::move(sub));  // invalidates f
+            t.stack.push_back(sub);  // invalidates f
             t.code.mode = CodeMode::Enter;
             t.code.ptr = field;
             return StepOutcome::Ok;
           }
-          t.stack.pop_back();
+          t.pop_frame();
           t.code.ptr = con;  // the fully forced constructor; still Ret
           return StepOutcome::Ok;
         }
@@ -527,7 +511,7 @@ StepOutcome Machine::step(Capability& c, Tso& t) {
           const std::size_t idx = t.stack.size() - 1;
           switch (fn(*this, c, t, idx, v)) {
             case NativeAction::Done:
-              t.stack.pop_back();
+              t.pop_frame();
               return StepOutcome::Ok;  // still Ret(v)
             case NativeAction::Retry:
               return StepOutcome::Ok;

@@ -160,7 +160,7 @@ struct RtsInternalError : std::runtime_error {
       : std::runtime_error(what), tso(t), slot_kind(std::move(slot_kind_)),
         obj_kind(obj_kind_), census(std::move(census_)) {}
   ThreadId tso;          // owner of the offending slot (kNoThread if global)
-  std::string slot_kind; // "code.ptr", "frame.env", "caf", "spark", ...
+  std::string slot_kind; // "code.ptr", "vstack", "caf", "spark", ...
   int obj_kind;          // header kind of the bad object (-1 if null)
   HeapCensus census;     // heap population at the moment of failure
 };

@@ -200,8 +200,7 @@ Tso* Machine::spawn_apply(GlobalId f, const std::vector<Obj*>& args, std::uint32
   if (!args.empty()) {
     Frame fr;
     fr.kind = FrameKind::Apply;
-    fr.ptrs = args;
-    t->stack.push_back(std::move(fr));
+    t->push_frame(fr, {}, args.data(), static_cast<std::uint32_t>(args.size()));
   }
   t->code.mode = CodeMode::Enter;
   t->code.ptr = g.arity > 0 ? static_fun(f) : caf_cell(f);
@@ -214,7 +213,7 @@ Tso* Machine::spawn_deep_force(Obj* p, std::uint32_t cap, bool enqueue) {
   Frame fr;
   fr.kind = FrameKind::ForceDeep;
   fr.obj = nullptr;
-  t->stack.push_back(std::move(fr));
+  t->stack.push_back(fr);
   t->code.mode = CodeMode::Enter;
   t->code.ptr = p;
   if (enqueue) this->cap(cap).push_thread(t);
@@ -341,8 +340,8 @@ bool Machine::spark_thread_continue(Capability& c, Tso& t) {
   // Reuse the TSO for the next spark (the cheap loop of §IV.A.4).
   t.state = ThreadState::Runnable;
   t.result = nullptr;
-  t.stack.clear();
-  t.code = Code{};
+  t.clear_stack();
+  t.code.reset();
   t.code.mode = CodeMode::Enter;
   t.code.ptr = s;
   c.spark_stats().converted++;
@@ -541,8 +540,8 @@ void Machine::kill_thread(Capability& c, Tso& t, const char* why) {
     }
   }
   if (c.spark_thread == &t) c.spark_thread = nullptr;
-  t.stack.clear();
-  t.code = Code{};
+  t.clear_stack();
+  t.code.reset();
   t.result = nullptr;
   t.state = ThreadState::Finished;
   t.error = why;
@@ -614,11 +613,16 @@ void Machine::walk_tso(Gc& gc, Tso& t) {
   if (t.code.ptr != nullptr) gc.evacuate(t.code.ptr);
   for (Obj*& p : t.code.env) gc.evacuate(p);
   for (Obj*& p : t.code.scratch) gc.evacuate(p);
+  // Frame by frame, bottom first: each frame's environment, its object,
+  // then its other saved values. The order fixes the copy order and so
+  // the to-space layout.
+  Obj** v = t.vstack.data();
   for (Frame& f : t.stack) {
-    for (Obj*& p : f.env) gc.evacuate(p);
+    for (Obj** end = v + f.nenv; v != end; ++v) gc.evacuate(*v);
     if (f.obj != nullptr) gc.evacuate(f.obj);
-    for (Obj*& p : f.ptrs) gc.evacuate(p);
+    for (Obj** end = v + f.nvals; v != end; ++v) gc.evacuate(*v);
   }
+  assert(v == t.vstack.data() + t.vstack.size());
   if (t.result != nullptr) gc.evacuate(t.result);
 }
 
@@ -716,11 +720,8 @@ void Machine::validate_roots(const char* when) {
     check(t.code.ptr, "code.ptr", t.id);
     for (Obj* p : t.code.env) check(p, "code.env", t.id);
     for (Obj* p : t.code.scratch) check(p, "code.scratch", t.id);
-    for (Frame& f : t.stack) {
-      for (Obj* p : f.env) check(p, "frame.env", t.id);
-      check(f.obj, "frame.obj", t.id);
-      for (Obj* p : f.ptrs) check(p, "frame.ptrs", t.id);
-    }
+    for (Obj* p : t.vstack) check(p, "vstack", t.id);
+    for (Frame& f : t.stack) check(f.obj, "frame.obj", t.id);
     check(t.result, "result", t.id);
   }
   for (Obj* c : caf_cells_)

@@ -33,6 +33,10 @@
 //       dies);
 //   U1  Update frames point at updatable (or already-updated) objects,
 //       never at a Fwd or a Placeholder;
+//   V1  the value counts a live TSO's frames record sum exactly to the
+//       size of its value stack, and a Finished TSO's value stack is
+//       empty; every value-stack, code.env and code.scratch slot holds a
+//       live, non-Fwd object;
 //   S1  spark-pool slots and CAF cells hold valid, live, non-Fwd objects.
 #include <algorithm>
 #include <cstdlib>
@@ -232,6 +236,37 @@ void Machine::sanity_check(const char* when) {
                " region " + std::to_string(ridx) +
                " has no owning Update frame (its evaluator is gone)");
   });
+
+  // --- V1: value stacks and Code registers -------------------------------
+  for (auto& tp : tsos_) {
+    const Tso& t = *tp;
+    std::size_t counted = 0;
+    for (const Frame& f : t.stack) counted += f.saved();
+    if (t.state == ThreadState::Finished && !t.vstack.empty())
+      fail("vstack", t.id, nullptr,
+           "finished TSO still holds " + std::to_string(t.vstack.size()) +
+               " value-stack slots");
+    if (t.state != ThreadState::Finished && counted != t.vstack.size())
+      fail("vstack", t.id, nullptr,
+           "frames record " + std::to_string(counted) +
+               " saved values but the value stack holds " + std::to_string(t.vstack.size()));
+    auto check_slots = [&](const std::vector<Obj*>& slots, const char* what) {
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        const Obj* p = slots[i];
+        if (p == nullptr || !live(p))
+          fail(what, t.id, nullptr,
+               std::string(what) + " slot " + std::to_string(i) +
+                   " points outside every live region");
+        if (p->kind == ObjKind::Fwd)
+          fail(what, t.id, p,
+               std::string(what) + " slot " + std::to_string(i) +
+                   " holds a stale forwarding pointer");
+      }
+    };
+    check_slots(t.vstack, "vstack");
+    check_slots(t.code.env, "code.env");
+    check_slots(t.code.scratch, "code.scratch");
+  }
 
   // --- S1: spark pools and CAF cells --------------------------------------
   for (auto& c : caps_) {

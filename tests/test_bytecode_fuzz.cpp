@@ -16,6 +16,7 @@
 // falls back to a fresh translation; stale code is never executed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -243,21 +244,59 @@ RtsConfig threaded_cfg(bool bytecode) {
   return cfg;
 }
 
+/// The sim differential under GC pressure. Many generated programs
+/// allocate nothing on one input (their values stay within the static
+/// small-int cache), so that suite sweeps fzMain over a range of inputs:
+/// fzSweep lo hi = sum (map fzMain (enumFromTo lo hi)). A nursery this
+/// small makes every sweep of seeds 1-16 collect on both engines, so
+/// programs are collected while their frames hold saved values, and no
+/// step of any of them needs more than the nursery.
+constexpr std::size_t kPressureNurseryWords = 256;
+
+RtsConfig pressure_cfg(bool bytecode) {
+  RtsConfig cfg = sim_cfg(bytecode);
+  cfg.heap.nursery_words = kPressureNurseryWords;
+  cfg.sanity = true;  // -DS audits every collection
+  return cfg;
+}
+
+void build_sweep(Builder& b) {
+  b.fun("fzSweep", {"lo", "hi"}, [](Ctx& c) {
+    return c.app("sum", {c.app("map", {c.global("fzMain"),
+                                       c.app("enumFromTo", {c.var("lo"), c.var("hi")})})});
+  });
+}
+
 struct EngineRun {
   std::int64_t value = 0;
   SparkStats sparks;
+  /// Fewest minor collections any one evaluation of the run crossed.
+  std::uint64_t min_minor_gcs = ~std::uint64_t{0};
 };
 
-EngineRun run_sim(std::uint64_t seed, bool bytecode) {
+/// Runs seed's program under `cfg` on the sim driver: fzMain on 5 and
+/// -3, or with `sweep`, fzSweep over [-40, -1] and [0, 40].
+EngineRun run_sim(std::uint64_t seed, const RtsConfig& cfg, bool sweep = false) {
   Gen g(seed);
-  Rig r([&g](Builder& b) { g(b); }, sim_cfg(bytecode));
+  Rig r([&g, sweep](Builder& b) {
+          g(b);
+          if (sweep) build_sweep(b);
+        },
+        cfg);
+  using Calls = std::vector<std::vector<std::int64_t>>;
+  const Calls calls = sweep ? Calls{{-40, -1}, {0, 40}} : Calls{{5}, {-3}};
   EngineRun out;
-  for (std::int64_t a : {std::int64_t{5}, std::int64_t{-3}}) {
-    SimResult res = r.run("fzMain", {a});
+  for (const std::vector<std::int64_t>& args : calls) {
+    const std::uint64_t gcs_before = r.m->heap().stats().minor_collections;
+    SimResult res = r.run(sweep ? "fzSweep" : "fzMain", args);
     EXPECT_FALSE(res.deadlocked)
-        << (bytecode ? "bytecode" : "interpreter") << " deadlocked: "
+        << (cfg.bytecode ? "bytecode" : "interpreter") << " deadlocked: "
         << res.diagnosis.describe();
-    out.value = out.value * 31 + (res.deadlocked ? 0 : read_int(res.value));
+    EXPECT_EQ(res.heap_overflows, 0u);
+    const bool ok = !res.deadlocked && res.value != nullptr;
+    out.value = out.value * 31 + (ok ? read_int(res.value) : 0);
+    out.min_minor_gcs = std::min(out.min_minor_gcs,
+                                 r.m->heap().stats().minor_collections - gcs_before);
   }
   out.sparks = r.m->total_spark_stats();
   return out;
@@ -283,8 +322,8 @@ class BytecodeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BytecodeFuzz, SimInterpreterAndBytecodeAgree) {
   const std::uint64_t seed = GetParam();
   SCOPED_TRACE("replay seed = " + std::to_string(seed));
-  const EngineRun interp = run_sim(seed, false);
-  const EngineRun byte = run_sim(seed, true);
+  const EngineRun interp = run_sim(seed, sim_cfg(false));
+  const EngineRun byte = run_sim(seed, sim_cfg(true));
   EXPECT_EQ(interp.value, byte.value);
   EXPECT_EQ(interp.sparks.created, byte.sparks.created);
   EXPECT_EQ(interp.sparks.dud, 0u);
@@ -295,6 +334,28 @@ TEST_P(BytecodeFuzz, SimInterpreterAndBytecodeAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeFuzz,
                          ::testing::Range(std::uint64_t{1}, std::uint64_t{49}));
+
+// The same differential with every evaluation crossing collections and
+// the -DS auditor checking each one (a failed audit throws out of run).
+class BytecodeFuzzGcPressure : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BytecodeFuzzGcPressure, AuditedCollectionsKeepTheEnginesInAgreement) {
+  const std::uint64_t seed = GetParam();
+  SCOPED_TRACE("replay seed = " + std::to_string(seed));
+  const EngineRun interp = run_sim(seed, pressure_cfg(false), /*sweep=*/true);
+  const EngineRun byte = run_sim(seed, pressure_cfg(true), /*sweep=*/true);
+  EXPECT_GT(interp.min_minor_gcs, 0u) << "an interpreter run never collected";
+  EXPECT_GT(byte.min_minor_gcs, 0u) << "a bytecode run never collected";
+  EXPECT_EQ(interp.value, byte.value);
+  EXPECT_EQ(interp.sparks.created, byte.sparks.created);
+  EXPECT_EQ(interp.sparks.dud, 0u);
+  EXPECT_EQ(byte.sparks.dud, 0u);
+  EXPECT_EQ(interp.sparks.fizzled, 0u);
+  EXPECT_EQ(byte.sparks.fizzled, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeFuzzGcPressure,
+                         ::testing::Range(std::uint64_t{1}, std::uint64_t{17}));
 
 class BytecodeFuzzThreaded : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -1,6 +1,7 @@
 // Core evaluator semantics: arithmetic, laziness, sharing, data, errors.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "progs/sumeuler.hpp"
@@ -37,6 +38,62 @@ TEST(Eval, DivisionByZeroThrows) {
   });
   EXPECT_THROW(r.run_int("d", {1}), EvalError);
 }
+
+// Int edge cases on both engines (false = interpreter, true = bytecode):
+// Haskell's Int wraps, `div minBound (-1)` is an overflow error and
+// `mod x (-1)` is 0. A bare machine division of minBound by -1 traps.
+class IntEdges : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  static constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+  IntEdges() : r(build, engine_cfg()) {}
+
+  static RtsConfig engine_cfg() {
+    RtsConfig cfg = config_plain(1);
+    cfg.bytecode = GetParam();
+    return cfg;
+  }
+  static void build(Builder& b) {
+    b.fun("d", {"x", "y"}, [](Ctx& c) { return c.prim(PrimOp::Div, c.var("x"), c.var("y")); });
+    b.fun("m", {"x", "y"}, [](Ctx& c) { return c.prim(PrimOp::Mod, c.var("x"), c.var("y")); });
+    b.fun("add", {"x", "y"}, [](Ctx& c) { return c.prim(PrimOp::Add, c.var("x"), c.var("y")); });
+    b.fun("sub", {"x", "y"}, [](Ctx& c) { return c.prim(PrimOp::Sub, c.var("x"), c.var("y")); });
+    b.fun("mul", {"x", "y"}, [](Ctx& c) { return c.prim(PrimOp::Mul, c.var("x"), c.var("y")); });
+    b.fun("neg", {"x"}, [](Ctx& c) { return c.prim(PrimOp::Neg, c.var("x")); });
+  }
+
+  Rig r;
+};
+
+TEST_P(IntEdges, DivMinBoundByMinusOneIsAnOverflowError) {
+  ASSERT_EQ(r.m->bytecode() != nullptr, GetParam());
+  try {
+    r.run_int("d", {kMin, -1});
+    FAIL() << "div minBound (-1) returned";
+  } catch (const EvalError& e) {
+    EXPECT_STREQ(e.what(), "arithmetic overflow");
+  }
+}
+
+TEST_P(IntEdges, ModByMinusOneIsZero) {
+  EXPECT_EQ(r.run_int("m", {kMin, -1}), 0);
+  EXPECT_EQ(r.run_int("m", {7, -1}), 0);
+  EXPECT_EQ(r.run_int("d", {kMin + 1, -1}), kMax);
+  EXPECT_EQ(r.run_int("d", {kMin, 1}), kMin);
+}
+
+TEST_P(IntEdges, ArithmeticWraps) {
+  EXPECT_EQ(r.run_int("add", {kMax, 1}), kMin);
+  EXPECT_EQ(r.run_int("sub", {kMin, 1}), kMax);
+  EXPECT_EQ(r.run_int("mul", {kMax, 2}), -2);
+  EXPECT_EQ(r.run_int("neg", {kMin}), kMin);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, IntEdges, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& i) {
+                           return i.param ? "Bytecode" : "Interpreter";
+                         });
 
 TEST(Eval, LazinessSkipsUnusedErrors) {
   // const 42 undefined must not evaluate undefined.

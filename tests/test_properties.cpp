@@ -152,8 +152,7 @@ TEST(Marshal, MakePapBehavesLikePartialApplication) {
   Tso* t = r.m->spawn_enter(protect[0], 0, /*enqueue=*/false);
   Frame f;
   f.kind = FrameKind::Apply;
-  f.ptrs = {one};
-  t->stack.insert(t->stack.begin(), std::move(f));
+  t->push_frame(f, {}, &one, 1);
   r.m->cap(0).push_thread(t);
   SimDriver d(*r.m);
   EXPECT_EQ(read_int(d.run(t).value), 42);

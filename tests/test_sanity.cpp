@@ -3,6 +3,8 @@
 // with a structured RtsInternalError naming the bad slot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "progs/sumeuler.hpp"
 #include "rig.hpp"
 #include "rts/threaded.hpp"
@@ -108,6 +110,53 @@ TEST(Sanity, CatchesBlockedThreadOnRunQueue) {
   }
   t->state = ThreadState::Runnable;
   EXPECT_NO_THROW(r.m->sanity_check("restored run queue"));
+}
+
+/// A thread stepped part-way into sumEulerSeq: its Case, Prim and Apply
+/// frames hold saved values on its value stack.
+Tso* suspended_thread(Rig& r) {
+  Tso* t = r.m->spawn_apply(r.prog.find("sumEulerSeq"), {make_int(*r.m, 0, 30)}, 0,
+                            /*enqueue=*/false);
+  for (int i = 0; i < 60; ++i) EXPECT_EQ(r.m->step(r.m->cap(0), *t), StepOutcome::Ok);
+  return t;
+}
+
+TEST(Sanity, CatchesCorruptValueStackSlot) {
+  Rig r([](Builder& b) { build_sumeuler(b); });
+  Tso* t = suspended_thread(r);
+  ASSERT_FALSE(t->vstack.empty());
+  EXPECT_NO_THROW(r.m->sanity_check("healthy value stack"));
+  Obj* const saved = t->vstack.front();
+  t->vstack.front() = reinterpret_cast<Obj*>(0x40);
+  try {
+    r.m->sanity_check("corrupt value stack");
+    FAIL() << "auditor missed a wild value-stack slot";
+  } catch (const RtsInternalError& e) {
+    EXPECT_EQ(e.slot_kind, "vstack");
+    EXPECT_EQ(e.tso, t->id);
+    EXPECT_NE(std::string(e.what()).find("vstack slot 0"), std::string::npos)
+        << "report should name the bad slot: " << e.what();
+  }
+  t->vstack.front() = saved;
+  EXPECT_NO_THROW(r.m->sanity_check("restored value stack"));
+}
+
+TEST(Sanity, CatchesFrameCountThatDisagreesWithTheValueStack) {
+  Rig r([](Builder& b) { build_sumeuler(b); });
+  Tso* t = suspended_thread(r);
+  auto f = std::find_if(t->stack.begin(), t->stack.end(),
+                        [](const Frame& fr) { return fr.saved() > 0; });
+  ASSERT_NE(f, t->stack.end());
+  f->nvals++;
+  try {
+    r.m->sanity_check("corrupt frame count");
+    FAIL() << "auditor missed a frame count that overruns the value stack";
+  } catch (const RtsInternalError& e) {
+    EXPECT_EQ(e.slot_kind, "vstack");
+    EXPECT_EQ(e.tso, t->id);
+  }
+  f->nvals--;
+  EXPECT_NO_THROW(r.m->sanity_check("restored frame count"));
 }
 
 TEST(Sanity, EnvVarEnablesAuditWithoutFlag) {

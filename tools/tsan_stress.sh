@@ -34,9 +34,13 @@
 #               graceful drain path;
 #   bytecode  — the bytecode backend: the interpreter-vs-bytecode
 #               differential fuzzer on the sim and OS-thread drivers (engine
-#               divergence, spark-counter drift), an Eden-RT value check
-#               with every PE on the bytecode engine, and the code-cache
-#               robustness suite (truncation, bit rot, stale versions).
+#               divergence, spark-counter drift, and audited collections on
+#               a tiny nursery), an Eden-RT value check with every PE on the
+#               bytecode engine, the code-cache robustness suite
+#               (truncation, bit rot, stale versions) and the mutator
+#               allocation check (parhask_alloc_tests,
+#               MutatorAllocation.*: it replaces the global operator new
+#               and counts the calls one evaluation makes on each engine).
 # Each iteration exports a fresh PARHASK_SCHED_SEED, which the seeded tests
 # pick up to derive their delay decisions. A data race found by TSan is
 # therefore reproducible: re-export the seed printed on the failing line and
