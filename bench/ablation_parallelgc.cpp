@@ -1,39 +1,51 @@
-// A7 — parallel-GC ablation: GC phase time and copy-work balance as the
-// worker team grows (--gc-threads = 1, 2, 4, 8), on two live-heap shapes
-// taken from the paper's benchmarks:
+// A7 — parallel-GC ablation: does the parallel collector pay end to end?
 //
-//   sumeuler_lists — many independent cons lists of boxed Ints: small
-//                    objects, deep pointer chasing — the round-robin chunk
-//                    lists sumEulerParRR's sparks hold live (one spine per
-//                    chunk is what makes the shape collectable in
-//                    parallel; a single chain would serialise any
-//                    collector);
-//   matmul_rows    — a list of wide Con arrays of boxed Ints: the
-//                    row-major matrices of the matMul benchmark, dominated
-//                    by large objects whose scavenge fans out widely.
+// Runs three GpH workloads on ThreadedDriver (bytecode engine, work
+// stealing, eager black-holing, GHC's 64K-word nursery) at `--caps`
+// capabilities (default: the host's cores), once with the sequential
+// collector (--gc-threads=1) and once with a team of `--caps` workers —
+// the leader plus the capabilities parked at its GC barrier, the only GC
+// team the runtime forms. The two settings alternate within each
+// repetition, and the one that runs first alternates too, so a stretch
+// of host load biases both columns:
 //
-// For each (heap, team) cell the harness builds the live graph through the
-// mutator interface (so nursery promotion, remsets and large-object paths
-// all participate), then times `--reps` forced major collections and
-// reports mean wall time plus the collector's copy-balance metric (total
-// words copied / busiest worker's words — the speedup the team achieves
-// with one core per worker).
+//   apsp     — GpH all-pairs shortest paths, n = --apsp-n (default 120):
+//              a large live distance matrix, so collections are long;
+//   apsp     — the same at n = --apsp-small-n (default 48): a small live
+//              heap, where the team's assembly costs more than it copies;
+//   matmul   — blocked GpH matrix multiply, n = --mat-n (96), --q 4 blocks
+//              per side.
 //
-// NOTE on wall time: on a single-core host the workers time-share one CPU,
-// so wall elapsed cannot drop with team size — the balance column is the
-// honest parallelism measurement there (DESIGN.md §10). Worse, a
-// microsecond-scale collection finishes inside the leader's OS timeslice,
-// so the helpers never even interleave. By default the harness therefore
-// attaches the schedule controller in perturb mode (seeded yields at the
-// collector's instrumented racy points — the same instrumentation the
-// schedtest suite drives), which stands in for preemption at copy
-// granularity and lets the balance column measure the *collector's* work
-// distribution rather than the host's core count. Run with --no-perturb
-// on a multicore host for undisturbed wall numbers. Both figures are
-// emitted to BENCH_gc.json.
+// Every run's value is checked against the host-side reference. Each cell
+// reports the median and quartiles of end-to-end wall seconds and of GC
+// seconds (time inside collect()), the median collection counts, the
+// repetitions, and how many pairs the team won; the JSON record also names
+// the host's cores and CPU model.
+//
+//   ablation_parallelgc [--caps C] [--reps 7] [--apsp-n 120]
+//                       [--apsp-small-n 48] [--mat-n 96] [--q 4]
+//                       [--nursery 65536] [--out BENCH_gc.json]
+//
+// The process exits non-zero if a value is wrong or, with --caps > 1, if
+// a team run ran no parallel collection. It checks no timing.
+//
+// JSON schema:
+//   { "bench": "parallel_gc", "host": {"cores": 4, "cpu": "..."},
+//     "caps": 4, "engine": "bytecode", "nursery_words": 65536, "reps": 7,
+//     "workloads": [
+//       { "name": "apsp", "n": 120, "value": ..., "team_wins": 7,
+//         "cells": [
+//           { "gc_threads": 1, "reps": 7,
+//             "wall_s": {"median": ..., "q1": ..., "q3": ...},
+//             "gc_s": {"median": ..., "q1": ..., "q3": ...},
+//             "collections": ..., "parallel_collections": 0 }, ... ] }, ... ] }
+// (collection counts are medians over the repetitions).
+#include <sched.h>
+
+#include <algorithm>
 #include <fstream>
 
-#include "rts/schedtest.hpp"
+#include "rts/threaded.hpp"
 #include "support.hpp"
 
 using namespace ph;
@@ -41,184 +53,221 @@ using namespace ph::bench;
 
 namespace {
 
+std::uint32_t online_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<std::uint32_t>(std::max(1, CPU_COUNT(&set)));
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto b = line.find_first_not_of(' ', colon + 1);
+    return b == std::string::npos ? "unknown" : line.substr(b);
+  }
+  return "unknown";
+}
+
+/// Linear-interpolated quantile of an unsorted sample.
+double quantile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
+}
+
+struct Run {
+  double wall_s = 0.0;
+  double gc_s = 0.0;
+  double collections = 0.0;
+  double parallel_collections = 0.0;
+  std::int64_t value = 0;
+};
+
 struct Cell {
-  std::uint32_t gc_threads;
-  double elapsed_ns_mean;
-  double balance;
-  std::uint32_t workers;
-  std::uint64_t words_copied;
+  std::uint32_t gc_threads = 1;
+  std::vector<Run> runs;
+  std::vector<double> column(double Run::*field) const {
+    std::vector<double> xs;
+    for (const Run& r : runs) xs.push_back(r.*field);
+    return xs;
+  }
 };
 
-struct HeapResult {
-  const char* name;
-  std::uint64_t live_words;
-  std::vector<Cell> cells;
+struct Workload {
+  std::string name;
+  std::int64_t n = 0;
+  std::int64_t expect = 0;
+  std::function<Tso*(Machine&)> setup;
+  Cell seq, team;
+  int team_wins = 0;
 };
 
-Machine* g_m = nullptr;
-
-Obj* boxed(std::int64_t v) {
-  Obj* o = g_m->alloc_with_gc(0, ObjKind::Int, 0, 1);
-  o->payload()[0] = static_cast<Word>(v);
-  return o;
+Run run_once(const Program& prog, const RtsConfig& cfg,
+             const std::function<Tso*(Machine&)>& setup) {
+  Machine m(prog, cfg);
+  Tso* root = setup(m);
+  ThreadedDriver d(m);
+  ThreadedResult r = d.run(root);
+  if (r.deadlocked) {
+    std::fprintf(stderr, "FATAL: threaded run deadlocked\n%s\n",
+                 r.diagnosis.describe().c_str());
+    std::exit(1);
+  }
+  const GcStats& gs = m.heap().stats();
+  Run run;
+  run.wall_s = r.seconds;
+  run.gc_s = static_cast<double>(gs.gc_elapsed_ns) / 1e9;
+  run.collections = static_cast<double>(gs.minor_collections + gs.major_collections);
+  run.parallel_collections = static_cast<double>(gs.parallel_collections);
+  run.value = read_int(r.value);
+  return run;
 }
 
-/// sumeuler_lists: `lists` independent spines of `cells / lists` cons
-/// cells each, every cell holding a boxed Int — protect[k] roots spine k.
-void build_lists(std::vector<Obj*>& protect, std::int64_t cells, std::int64_t lists) {
-  Machine& m = *g_m;  // protect[] arrives pre-filled with nil from measure()
-  for (std::int64_t i = 0; i < cells; ++i) {
-    const std::size_t k = static_cast<std::size_t>(i % lists);
-    std::vector<Obj*> tmp{boxed(i)};
-    RootGuard g(m, tmp);
-    Obj* cell = m.alloc_with_gc(0, ObjKind::Con, 1, 2);
-    cell->ptr_payload()[0] = tmp[0];
-    cell->ptr_payload()[1] = protect[k];
-    protect[k] = cell;
-  }
-}
-
-/// matmul_rows: a cons list of `rows` Con arrays, each `cols` boxed Ints.
-void build_matrix(std::vector<Obj*>& protect, std::int64_t rows, std::int64_t cols) {
-  Machine& m = *g_m;  // protect[0] arrives pre-filled with nil from measure()
-  for (std::int64_t r = 0; r < rows; ++r) {
-    Obj* row = m.alloc_with_gc(0, ObjKind::Con, 2, static_cast<std::uint32_t>(cols));
-    // Fields must be valid before the next allocation can trigger a GC:
-    // seed them all with the list head, then replace one element at a time.
-    for (std::int64_t c = 0; c < cols; ++c) row->ptr_payload()[c] = protect[0];
-    std::vector<Obj*> tmp{row};
-    RootGuard g(m, tmp);
-    for (std::int64_t c = 0; c < cols; ++c) {
-      tmp[0]->ptr_payload()[c] = boxed(r * cols + c);
-      // A GC inside boxed() may have promoted the row: this store is then
-      // an old-to-young edge and must hit the remembered set.
-      m.heap().remember(0, tmp[0]);
-    }
-    Obj* cell = m.alloc_with_gc(0, ObjKind::Con, 1, 2);
-    cell->ptr_payload()[0] = tmp[0];
-    cell->ptr_payload()[1] = protect[0];
-    protect[0] = cell;
-  }
-}
-
-HeapResult measure(const char* name, std::int64_t reps, std::size_t n_slots,
-                   const std::function<void(std::vector<Obj*>&)>& build) {
-  HeapResult hr{name, 0, {}};
-  Program prog = make_full_program();
-  for (std::uint32_t t : {1u, 2u, 4u, 8u}) {
-    RtsConfig cfg = config_worksteal(4);
-    cfg.gc_threads = t;
-    cfg.heap.nursery_words = 32 * 1024;
-    Machine m(prog, cfg);
-    g_m = &m;
-    std::vector<Obj*> protect(n_slots, nullptr);
-    Obj* nil = m.alloc_with_gc(0, ObjKind::Con, 0, 0);
-    for (Obj*& p : protect) p = nil;  // every slot valid before the guard
-    RootGuard guard(m, protect);
-    build(protect);
-    const GcStats& gs = m.heap().stats();
-    // Warm-up major (moves everything into a settled old gen), then time.
-    m.collect(/*force_major=*/true);
-    const std::uint64_t ns0 = gs.gc_elapsed_ns;
-    const std::uint64_t copied0 = gs.words_copied_major;
-    double balance = 0.0;
-    for (std::int64_t i = 0; i < reps; ++i) {
-      m.collect(/*force_major=*/true);
-      balance += gs.last_gc_balance;
-    }
-    const double mean_ns =
-        static_cast<double>(gs.gc_elapsed_ns - ns0) / static_cast<double>(reps);
-    const std::uint64_t copied =
-        (gs.words_copied_major - copied0) / static_cast<std::uint64_t>(reps);
-    hr.live_words = m.heap().live_words_after_last_gc();
-    hr.cells.push_back(Cell{t, mean_ns, balance / static_cast<double>(reps),
-                            gs.last_gc_workers, copied});
-    g_m = nullptr;
-  }
-  return hr;
+std::string stat_json(const std::vector<double>& xs) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "{\"median\": %.6f, \"q1\": %.6f, \"q3\": %.6f}",
+                quantile(xs, 0.5), quantile(xs, 0.25), quantile(xs, 0.75));
+  return buf;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::int64_t cells = arg_int(argc, argv, "--cells", 60000);
-  const std::int64_t lists = arg_int(argc, argv, "--lists", 32);
-  const std::int64_t rows = arg_int(argc, argv, "--rows", 150);
-  const std::int64_t cols = arg_int(argc, argv, "--cols", 150);
-  const std::int64_t reps = arg_int(argc, argv, "--reps", 5);
-  const std::int64_t seed = arg_int(argc, argv, "--seed", 1);
+  const std::uint32_t cores = online_cores();
+  const std::uint32_t caps =
+      static_cast<std::uint32_t>(std::max<std::int64_t>(1, arg_int(argc, argv, "--caps", cores)));
+  const int reps = static_cast<int>(std::max<std::int64_t>(1, arg_int(argc, argv, "--reps", 7)));
+  const std::int64_t apsp_n = arg_int(argc, argv, "--apsp-n", 120);
+  const std::int64_t apsp_small_n = arg_int(argc, argv, "--apsp-small-n", 48);
+  const std::int64_t mat_n = arg_int(argc, argv, "--mat-n", 96);
+  const std::int64_t q = arg_int(argc, argv, "--q", 4);
+  const std::int64_t nursery = arg_int(argc, argv, "--nursery", 64 * 1024);
   std::string out_path = "BENCH_gc.json";
-  bool perturb = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--out" && i + 1 < argc) out_path = argv[i + 1];
-    if (std::string(argv[i]) == "--no-perturb") perturb = false;
+  for (int i = 1; i + 1 < argc; ++i)
+    if (std::string(argv[i]) == "--out") out_path = argv[i + 1];
+  const std::string cpu = cpu_model();
+
+  Program prog = make_full_program();
+
+  std::vector<Workload> work;
+  for (std::int64_t n : {apsp_n, apsp_small_n}) {
+    auto dist = std::make_shared<DistMat>(random_graph(static_cast<std::size_t>(n), 4242));
+    Workload w;
+    w.name = "apsp";
+    w.n = n;
+    w.expect = apsp_checksum(floyd_warshall(*dist));
+    w.setup = [&prog, dist, n](Machine& m) {
+      Obj* nv = make_int(m, 0, n);
+      Obj* mo = make_int_matrix(m, 0, *dist);
+      return m.spawn_apply(prog.find("apspChecksum"), {nv, mo}, 0);
+    };
+    work.push_back(std::move(w));
+  }
+  {
+    auto a = std::make_shared<Mat>(random_matrix(static_cast<std::size_t>(mat_n), 11));
+    auto bm = std::make_shared<Mat>(random_matrix(static_cast<std::size_t>(mat_n), 12));
+    Workload w;
+    w.name = "matmul";
+    w.n = mat_n;
+    w.expect = mat_checksum(matmul_reference(*a, *bm));
+    w.setup = [&prog, a, bm, mat_n, q](Machine& m) {
+      Obj* ao = make_int_matrix(m, 0, *a);
+      std::vector<Obj*> protect{ao};
+      RootGuard guard(m, protect);
+      protect.push_back(make_int_matrix(m, 0, *bm));
+      Obj* mm = make_apply_thunk(m, 0, prog.find("matMulGph"),
+                                 {make_int(m, 0, mat_n / q), make_int(m, 0, q),
+                                  protect[0], protect[1]});
+      std::vector<Obj*> p2{mm};
+      RootGuard g2(m, p2);
+      Obj* chk = make_apply_thunk(m, 0, prog.find("matSum"), {p2[0]});
+      return m.spawn_enter(chk, 0);
+    };
+    work.push_back(std::move(w));
   }
 
-  const unsigned host_cores = std::thread::hardware_concurrency();
-  std::printf("A7 — parallel GC ablation (host cores: %u, perturb %s)\n",
-              host_cores, perturb ? "on" : "off");
-  std::printf("%lld cells over %lld lists, matrix %lldx%lld, %lld reps per cell\n\n",
-              static_cast<long long>(cells), static_cast<long long>(lists),
-              static_cast<long long>(rows), static_cast<long long>(cols),
-              static_cast<long long>(reps));
+  std::printf("A7 — parallel GC end to end: ThreadedDriver, bytecode, %u caps, "
+              "%lld-word nursery, %d alternating reps\n",
+              caps, static_cast<long long>(nursery), reps);
+  std::printf("host: %u cores, %s\n\n", cores, cpu.c_str());
+  std::printf("%-8s %5s %10s %28s %28s %6s %6s %5s\n", "workload", "n", "gc-threads",
+              "wall s: median [q1, q3]", "gc s: median [q1, q3]", "GCs", "teamGC", "wins");
 
-  // Perturb mode: seeded yields at the collector's instrumented points so
-  // workers interleave at copy granularity even on one core (see header).
-  SchedPlan plan;
-  plan.strategy = SchedPlan::Strategy::Random;
-  plan.serial = false;
-  plan.seed = static_cast<std::uint64_t>(seed);
-  plan.horizon = 1ull << 62;  // never stand down mid-measurement
-  SchedController ctl(plan);
-  if (perturb) ctl.attach();
-
-  std::vector<HeapResult> results;
-  results.push_back(measure("sumeuler_lists", reps,
-                            static_cast<std::size_t>(lists),
-                            [&](std::vector<Obj*>& p) {
-    build_lists(p, cells, lists);
-  }));
-  results.push_back(measure("matmul_rows", reps, 1, [&](std::vector<Obj*>& p) {
-    build_matrix(p, rows, cols);
-  }));
-  if (perturb) ctl.detach();
+  bool values_ok = true;
+  bool team_ran = true;
+  for (Workload& w : work) {
+    w.seq.gc_threads = 1;
+    w.team.gc_threads = caps;
+    for (int rep = 0; rep < reps; ++rep) {
+      for (int k = 0; k < 2; ++k) {
+        Cell& c = (k + rep) % 2 == 0 ? w.seq : w.team;
+        RtsConfig cfg = config_worksteal_eagerbh(caps);
+        cfg.bytecode = true;
+        cfg.heap.nursery_words = static_cast<std::size_t>(nursery);
+        cfg.gc_threads = c.gc_threads;
+        Run r = run_once(prog, cfg, w.setup);
+        if (r.value != w.expect) {
+          std::printf("CHECK %s n=%lld gc-threads=%u FAILED: got %lld, want %lld\n",
+                      w.name.c_str(), static_cast<long long>(w.n), c.gc_threads,
+                      static_cast<long long>(r.value), static_cast<long long>(w.expect));
+          values_ok = false;
+        }
+        c.runs.push_back(r);
+      }
+      if (w.team.runs.back().wall_s < w.seq.runs.back().wall_s) w.team_wins++;
+    }
+    for (const Run& r : w.team.runs)
+      if (caps > 1 && r.parallel_collections == 0) team_ran = false;
+    for (const Cell* c : {&w.seq, &w.team}) {
+      const std::vector<double> wall = c->column(&Run::wall_s);
+      const std::vector<double> gc = c->column(&Run::gc_s);
+      char wall_s[64], gc_s[64];
+      std::snprintf(wall_s, sizeof(wall_s), "%.4f [%.4f, %.4f]", quantile(wall, 0.5),
+                    quantile(wall, 0.25), quantile(wall, 0.75));
+      std::snprintf(gc_s, sizeof(gc_s), "%.4f [%.4f, %.4f]", quantile(gc, 0.5),
+                    quantile(gc, 0.25), quantile(gc, 0.75));
+      std::printf("%-8s %5lld %10u %28s %28s %6.0f %6.0f", w.name.c_str(),
+                  static_cast<long long>(w.n), c->gc_threads, wall_s, gc_s,
+                  quantile(c->column(&Run::collections), 0.5),
+                  quantile(c->column(&Run::parallel_collections), 0.5));
+      if (c == &w.team) std::printf(" %2d/%d", w.team_wins, reps);
+      std::printf("\n");
+    }
+  }
 
   std::ofstream json(out_path);
-  json << "{\n  \"bench\": \"parallel_gc_ablation\",\n"
-       << "  \"host_cores\": " << host_cores << ",\n"
-       << "  \"perturb\": " << (perturb ? "true" : "false") << ",\n"
-       << "  \"note\": \"balance = words copied / busiest worker = GC speedup "
-          "with one core per worker; wall ns only improves on multicore "
-          "hosts\",\n  \"heaps\": [\n";
-  bool pass = true;
-  for (std::size_t h = 0; h < results.size(); ++h) {
-    const HeapResult& hr = results[h];
-    std::printf("%s  (live %llu words)\n", hr.name,
-                static_cast<unsigned long long>(hr.live_words));
-    std::printf("  %10s %14s %12s %10s %12s %10s\n", "gc-threads", "gc wall ns",
-                "wall spdup", "balance", "words/gc", "workers");
-    json << "    {\"name\": \"" << hr.name << "\", \"live_words\": " << hr.live_words
-         << ", \"teams\": [\n";
-    const double base_ns = hr.cells.front().elapsed_ns_mean;
-    for (std::size_t i = 0; i < hr.cells.size(); ++i) {
-      const Cell& c = hr.cells[i];
-      const double wall_speedup = base_ns / c.elapsed_ns_mean;
-      std::printf("  %10u %14.0f %12.2f %10.2f %12llu %10u\n", c.gc_threads,
-                  c.elapsed_ns_mean, wall_speedup, c.balance,
-                  static_cast<unsigned long long>(c.words_copied), c.workers);
-      json << "      {\"gc_threads\": " << c.gc_threads << ", \"elapsed_ns_mean\": "
-           << static_cast<std::uint64_t>(c.elapsed_ns_mean)
-           << ", \"wall_speedup\": " << wall_speedup << ", \"balance\": " << c.balance
-           << ", \"workers\": " << c.workers << ", \"words_per_gc\": "
-           << c.words_copied << "}" << (i + 1 < hr.cells.size() ? "," : "") << "\n";
-      if (c.gc_threads == 4 && c.balance <= 1.5) pass = false;
+  json << "{\n  \"bench\": \"parallel_gc\",\n  \"host\": {\"cores\": " << cores
+       << ", \"cpu\": \"" << cpu << "\"},\n  \"caps\": " << caps
+       << ", \"engine\": \"bytecode\", \"nursery_words\": " << nursery
+       << ", \"reps\": " << reps << ",\n  \"workloads\": [\n";
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    const Workload& w = work[i];
+    json << "    {\"name\": \"" << w.name << "\", \"n\": " << w.n
+         << ", \"value\": " << w.expect << ", \"team_wins\": " << w.team_wins
+         << ", \"cells\": [\n";
+    for (const Cell* c : {&w.seq, &w.team}) {
+      json << "      {\"gc_threads\": " << c->gc_threads << ", \"reps\": " << c->runs.size()
+           << ", \"wall_s\": " << stat_json(c->column(&Run::wall_s))
+           << ", \"gc_s\": " << stat_json(c->column(&Run::gc_s))
+           << ", \"collections\": " << quantile(c->column(&Run::collections), 0.5)
+           << ", \"parallel_collections\": "
+           << quantile(c->column(&Run::parallel_collections), 0.5) << "}"
+           << (c == &w.seq ? "," : "") << "\n";
     }
-    json << "    ]}" << (h + 1 < results.size() ? "," : "") << "\n";
+    json << "    ]}" << (i + 1 < work.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   json.close();
   std::printf("\nwrote %s\n", out_path.c_str());
-  std::printf("CHECK %-28s %s (copy balance > 1.5 at 4 gc-threads)\n",
-              "parallel gc speedup", pass ? "OK" : "FAILED");
-  return pass ? 0 : 1;
+  std::printf("CHECK %-28s %s\n", "values match the host oracle", values_ok ? "OK" : "FAILED");
+  if (caps > 1)
+    std::printf("CHECK %-28s %s\n", "team cells ran the team path", team_ran ? "OK" : "FAILED");
+  return values_ok && team_ran ? 0 : 1;
 }

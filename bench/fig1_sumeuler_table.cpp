@@ -63,28 +63,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(es.messages));
   times.push_back(es.makespan);
 
-  // Off-ladder extra: the best GpH row again, with the stop-the-world
-  // collections themselves parallelised (--gc-threads). Virtual time is
-  // unchanged — the paper's ladder predates parallel GC — so this row
-  // reports the collector's own telemetry instead of re-entering the
-  // shape check (the honest speedup metric on any host is the copy
-  // balance; see ablation_parallelgc / DESIGN.md §10).
-  const std::uint32_t gc_threads =
-      static_cast<std::uint32_t>(arg_int(argc, argv, "--gc-threads", 4));
-  RtsConfig pgc = config_worksteal(cores);
-  pgc.heap.nursery_words = 32 * 1024;
-  pgc.gc_threads = gc_threads;
-  RunStats ps = run_gph(prog, pgc, gph_setup);
-  check_value(ps.value, expect, "GpH + parallel GC");
-  std::printf("%-36s %14llu %8llu %10llu   (%llu parallel GCs, last team %u"
-              " workers, copy balance %.2f)\n",
-              "GpH, + parallel stop-the-world GC",
-              static_cast<unsigned long long>(ps.makespan),
-              static_cast<unsigned long long>(ps.gc_count),
-              static_cast<unsigned long long>(ps.gc_pause),
-              static_cast<unsigned long long>(ps.parallel_gcs), ps.gc_workers,
-              ps.gc_balance);
-
   std::printf("\nShape check (paper: each row at least as fast as the previous):\n");
   bool monotone = true;
   for (std::size_t i = 1; i < times.size(); ++i)

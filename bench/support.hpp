@@ -40,10 +40,6 @@ struct RunStats {
   std::uint64_t messages = 0;
   SparkStats sparks;
   std::int64_t value = 0;
-  // Parallel-GC telemetry (zero / 1.0 when the sequential collector ran).
-  std::uint64_t parallel_gcs = 0;
-  std::uint32_t gc_workers = 0;
-  double gc_balance = 1.0;  // copy-work balance of the last collection
 };
 
 /// Runs `setup(machine)`'s TSO to completion on a fresh shared-heap
@@ -67,10 +63,6 @@ inline RunStats run_gph(const Program& prog, RtsConfig cfg,
   s.dup_updates = m.stats().duplicate_updates.load();
   s.sparks = m.total_spark_stats();
   s.value = read_int(r.value);
-  const GcStats& gs = m.heap().stats();
-  s.parallel_gcs = gs.parallel_collections;
-  s.gc_workers = gs.last_gc_workers;
-  s.gc_balance = gs.last_gc_balance;
   return s;
 }
 

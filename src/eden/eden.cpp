@@ -28,14 +28,9 @@ EdenSystem::EdenSystem(const Program& prog, EdenConfig cfg)
       cfg_.transport = EdenTransportKind::Shm;
   }
   realtime_ = cfg_.transport != EdenTransportKind::Sim;
-  if (cfg_.transport == EdenTransportKind::Proc) {
-    // Process-per-PE mode: the supervisor replays send logs after a
-    // respawn, so the reliable-channel protocol is always on; and each PE
-    // must use the sequential collector — a parallel GC worker team
-    // started before fork() would not survive into the children.
-    reliable_ = true;
-    cfg_.pe_rts.gc_threads = 1;
-  }
+  // Process-per-PE mode: the supervisor replays send logs after a
+  // respawn, so the reliable-channel protocol is always on.
+  if (cfg_.transport == EdenTransportKind::Proc) reliable_ = true;
   if (realtime_) {
     // Crash plans are legal here: EdenProcDriver executes them as real
     // SIGKILLs at wall-clock offsets. Only the alloc-fault hook stays

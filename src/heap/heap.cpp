@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "rts/schedtest.hpp"
@@ -94,12 +95,6 @@ Heap::Heap(const HeapConfig& cfg) : cfg_(cfg) {
 }
 
 Heap::~Heap() {
-  {
-    std::lock_guard<std::mutex> lk(gcs_mutex_);
-    gc_shutdown_ = true;
-  }
-  gccv_.notify_all();
-  for (std::thread& t : gc_pool_) t.join();
   delete[] nursery_base_;
   delete[] old_base_;
   for (const OverflowSlab& s : old_extra_) delete[] s.base;
@@ -261,18 +256,20 @@ std::string HeapCensus::summary() const {
 }
 
 // --- sequential collector ---------------------------------------------------
-// The gc_threads == 1 path: byte-for-byte the collector this repository
-// always had (contiguous to-space bump allocation, one scan queue).
+// Byte-for-byte the collector this repository always had (contiguous
+// to-space bump allocation, one scan queue). It also accepts an old
+// generation that earlier team collections left block-structured.
 
 bool Gc::wants(const Obj* p) const {
   if (p->is_static()) return false;
   if (h_.in_nursery(p)) return true;
   if (!major_) return false;  // old objects move only on a major collection
-  // Major: evacuate only from-space residents; an object already in the
-  // fresh to-space must not be copied again (slots may be walked twice,
-  // e.g. when two roots alias or a remembered object is revisited).
+  // Major: evacuate every old object outside the fresh to-space (the old
+  // semispace and any overflow slabs); one already copied must not be
+  // copied again (slots may be walked twice, e.g. when two roots alias or
+  // a remembered object is revisited).
   const Word* w = reinterpret_cast<const Word*>(p);
-  return w >= from_lo_ && w < from_hi_;
+  return w < h_.old_base_ || w >= h_.old_end_;
 }
 
 Obj* Gc::copy(Obj* p) {
@@ -308,7 +305,7 @@ void Gc::evacuate(Obj*& slot) {
   slot = copy(p);
 }
 
-std::uint64_t Heap::collect_seq(const RootWalker& walk_roots, bool force_major) {
+std::uint64_t Heap::collect(const RootWalker& walk_roots, bool force_major) {
   gc_requested_.store(false, std::memory_order_release);
   const auto wall0 = std::chrono::steady_clock::now();
 
@@ -321,8 +318,10 @@ std::uint64_t Heap::collect_seq(const RootWalker& walk_roots, bool force_major) 
                old_used_now + nursery_slab_words_ + 1024 > old_capacity_;
 
   Word* from_base = old_base_;
-  const Word* from_end = old_end_;
+  std::vector<OverflowSlab> from_slabs;
   if (major) {
+    from_slabs.swap(old_extra_);
+    old_segments_.clear();
     // Fresh to-space, sized for everything that could survive.
     std::size_t need = old_used_now + nursery_slab_words_ + 1024;
     std::size_t cap = std::max(old_capacity_, cfg_.old_words);
@@ -337,8 +336,6 @@ std::uint64_t Heap::collect_seq(const RootWalker& walk_roots, bool force_major) 
   }
 
   Gc gc(*this, major);
-  gc.from_lo_ = from_base;
-  gc.from_hi_ = from_end;
   walk_roots(gc);
 
   // Remembered set: old-generation slots that were mutated to point at
@@ -364,6 +361,7 @@ std::uint64_t Heap::collect_seq(const RootWalker& walk_roots, bool force_major) 
 
   if (major) {
     delete[] from_base;
+    for (const OverflowSlab& s : from_slabs) delete[] s.base;
     stats_.major_collections++;
     stats_.words_copied_major += gc.words_copied_;
   } else {
@@ -372,6 +370,7 @@ std::uint64_t Heap::collect_seq(const RootWalker& walk_roots, bool force_major) 
   }
   stats_.gc_elapsed_ns += elapsed_ns(wall0, std::chrono::steady_clock::now());
   last_live_words_ = gc.words_copied_;
+  last_spans_.clear();
   reset_nurseries();
   return gc.words_copied_;
 }
@@ -603,25 +602,6 @@ bool Heap::try_help_collect() {
   return join_session(lk);
 }
 
-void Heap::set_gc_donation(bool on) {
-  std::lock_guard<std::mutex> lk(gcs_mutex_);
-  gc_donation_ = on;
-}
-
-void Heap::pool_worker() {
-  std::unique_lock<std::mutex> lk(gcs_mutex_);
-  for (;;) {
-    gccv_.wait(lk, [&] {
-      return gc_shutdown_ ||
-             (gc_open_ && !gc_donation_ && session_ != nullptr &&
-              gc_joined_ < gc_threads_ &&
-              !session_->team_done.load(std::memory_order_acquire));
-    });
-    if (gc_shutdown_) return;
-    join_session(lk);
-  }
-}
-
 std::uint64_t Heap::collect_parallel(std::vector<RootWalker> shards, bool force_major) {
   gc_requested_.store(false, std::memory_order_release);
   const auto wall0 = std::chrono::steady_clock::now();
@@ -688,29 +668,21 @@ std::uint64_t Heap::collect_parallel(std::vector<RootWalker> shards, bool force_
   }
 
   // Open the session. The leader takes slot 0; the remaining slots are
-  // claimed by pool threads (woken here) or by donated capability threads
-  // polling try_help_collect() from the threaded driver's barrier.
+  // claimed by threads polling try_help_collect() — the threaded driver's
+  // parked capabilities.
+  //
+  // Gang assembly (GHC 6.10 gang-synchronises its gc_threads the same
+  // way): give the team a bounded window to claim slots before the leader
+  // starts copying, or on a busy host the leader would finish a small
+  // heap alone every time. Bounded, so a missing helper (fewer pollers
+  // than slots) costs 2ms, never a hang; a full team releases the leader
+  // immediately.
   {
-    std::lock_guard<std::mutex> lk(gcs_mutex_);
-    if (!gc_donation_ && gc_pool_.empty() && gc_threads_ > 1 && !gc_shutdown_)
-      for (std::uint32_t i = 1; i < gc_threads_; ++i)
-        gc_pool_.emplace_back([this] { pool_worker(); });
+    std::unique_lock<std::mutex> lk(gcs_mutex_);
     session_ = &sh;
     gc_open_ = true;
     gc_joined_ = 1;
     gc_exited_.store(0, std::memory_order_relaxed);
-  }
-  gccv_.notify_all();
-
-  // Gang assembly (GHC 6.10 gang-synchronises its gc_threads the same
-  // way): give the team a bounded window to wake and claim slots before
-  // the leader starts copying. Without it a freshly-notified pool thread
-  // needs a timeslice to wake, and on a busy or single-core host the
-  // leader would finish a small heap alone every time. Bounded, so a
-  // missing helper (donation mode with fewer pollers) costs 2ms, never a
-  // hang; a full team releases the leader immediately.
-  {
-    std::unique_lock<std::mutex> lk(gcs_mutex_);
     gccv_.wait_for(lk, std::chrono::milliseconds(2),
                    [&] { return gc_joined_ >= gc_threads_; });
   }
@@ -784,16 +756,9 @@ std::uint64_t Heap::collect_parallel(std::vector<RootWalker> shards, bool force_
   return copied;
 }
 
-std::uint64_t Heap::collect(const RootWalker& walk_roots, bool force_major) {
-  if (gc_threads_ <= 1) return collect_seq(walk_roots, force_major);
-  std::vector<RootWalker> shards;
-  shards.push_back(walk_roots);
-  return collect_parallel(std::move(shards), force_major);
-}
-
 std::uint64_t Heap::collect(std::vector<RootWalker> root_shards, bool force_major) {
   if (gc_threads_ <= 1) {
-    return collect_seq(
+    return collect(
         [&root_shards](Gc& gc) {
           for (const RootWalker& shard : root_shards) shard(gc);
         },

@@ -12,16 +12,17 @@
 // * Major GC copies the whole live graph into a fresh semispace when the
 //   old generation passes a fill threshold.
 //
-// The collection itself runs either sequentially (gc_threads == 1: the
-// paper's baseline — GHC used a sequential STW collector) or on a team of
-// gc_threads workers (the GHC 6.10-era parallel GC shape, DESIGN.md §10):
+// The collection itself runs either sequentially (the paper's baseline —
+// GHC used a sequential STW collector) or on a team of up to gc_threads
+// workers (the GHC 6.10-era parallel GC shape, DESIGN.md §10):
 // block-structured to-space with per-worker allocation blocks refilled
 // from a shared carve cursor, forwarding pointers installed by CAS on the
 // header word, per-worker Chase–Lev deques of gray objects with work
-// stealing, and a busy-counter termination barrier. Workers are either an
-// internal pool (simulation drivers, tests) or donated capability threads
-// (the threaded driver's rendezvous — see try_help_collect). In both
-// modes callers guarantee all mutators are stopped.
+// stealing, and a busy-counter termination barrier. The heap never starts
+// a thread: the thread calling collect(shards) leads, and the rest of the
+// team is whoever joins through try_help_collect() — the threaded
+// driver's parked capabilities. Every other collection is sequential.
+// Either way, callers guarantee all mutators are stopped.
 #pragma once
 
 #include <array>
@@ -32,7 +33,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "heap/object.hpp"
@@ -56,10 +56,11 @@ struct HeapConfig {
   std::size_t old_words = 4 * 1024 * 1024;
   /// Trigger a major GC when old-gen usage exceeds this fraction.
   double major_threshold = 0.8;
-  /// GC worker team size. 1 = the sequential collector, bit-for-bit the
-  /// behaviour this repository always had; >1 enables the parallel
-  /// block-structured collector. Machine couples this to -N via
-  /// RtsConfig::gc_threads (--gc-threads=N).
+  /// GC worker team size for collect(shards). 1 = the sequential
+  /// collector, bit-for-bit the behaviour this repository always had; >1
+  /// runs the parallel block-structured collector with up to this many
+  /// workers. Machine couples this to -N via RtsConfig::gc_threads
+  /// (--gc-threads=N).
   std::uint32_t gc_threads = 1;
   /// To-space allocation-block size in words (parallel collector only).
   /// Small values force frequent refills — the block-allocator regression
@@ -97,9 +98,8 @@ struct GcStats {
   std::uint32_t last_gc_workers = 1;  // workers that joined the last team
 };
 
-/// One worker's busy interval in the last collection, for trace overlays
-/// (edentv-style per-worker GC spans) and the ablation benchmark.
-/// Times are nanoseconds relative to the start of the collection.
+/// One worker's busy interval in the last parallel collection. Times are
+/// nanoseconds relative to the start of the collection.
 struct GcWorkerSpan {
   std::uint32_t worker = 0;
   std::uint64_t start_ns = 0;
@@ -127,7 +127,7 @@ class Gc {
      WsDeque<Obj*>& deque)
       : h_(h), major_(major), sh_(&sh), worker_(worker), deque_(&deque) {}
 
-  // Sequential path (gc_threads == 1) — unchanged baseline.
+  // Sequential path — unchanged baseline.
   Obj* copy(Obj* p);
   bool wants(const Obj* p) const;
 
@@ -140,11 +140,6 @@ class Gc {
 
   Heap& h_;
   bool major_;
-  // From-space bounds during a sequential major collection: only objects
-  // here (or in the nurseries) are evacuated; anything already in to-space
-  // is done. (The parallel path keeps its region list in GcShared.)
-  const Word* from_lo_ = nullptr;
-  const Word* from_hi_ = nullptr;
   std::vector<Obj*> scan_queue_;
   std::uint64_t words_copied_ = 0;  // single writer: this worker; summed by the leader
 
@@ -184,15 +179,18 @@ class Heap {
   bool gc_requested() const { return gc_requested_.load(std::memory_order_acquire); }
   void request_gc() { gc_requested_.store(true, std::memory_order_release); }
 
-  /// Runs a collection (minor, or major if the old gen is past threshold
-  /// or `force_major`). All mutators must be stopped. `walk_roots` is
-  /// invoked once and must evacuate every root slot. Returns words copied.
+  /// Runs a sequential collection (minor, or major if the old gen is past
+  /// threshold or `force_major`). All mutators must be stopped.
+  /// `walk_roots` is invoked once and must evacuate every root slot.
+  /// Returns words copied.
   using RootWalker = std::function<void(Gc&)>;
   std::uint64_t collect(const RootWalker& walk_roots, bool force_major = false);
 
-  /// Sharded flavour: each shard walks a disjoint set of root *slots* and
-  /// is claimed whole by one GC worker (Machine partitions per capability:
+  /// Team flavour: each shard walks a disjoint set of root *slots* and is
+  /// claimed whole by one GC worker (Machine partitions per capability:
   /// run queue + TSO stacks stripe, spark slots, CAF cells). With
+  /// gc_threads > 1 the calling thread leads a parallel collection that
+  /// up to gc_threads - 1 helpers join through try_help_collect(); with
   /// gc_threads == 1 the shards simply run in order on the sequential
   /// collector.
   std::uint64_t collect(std::vector<RootWalker> root_shards, bool force_major = false);
@@ -206,16 +204,10 @@ class Heap {
   /// waited on. Never blocks on the session opening.
   bool try_help_collect();
 
-  /// Donation mode: when true the internal worker pool stands down and
-  /// the team is recruited exclusively through try_help_collect() — the
-  /// threaded driver turns this on so the stopped capabilities themselves
-  /// become the GC workers.
-  void set_gc_donation(bool on);
-
   std::uint32_t gc_threads() const { return gc_threads_; }
 
-  /// Per-worker busy spans of the last collection (empty for sequential
-  /// heaps). Call at rest, like stats().
+  /// Per-worker busy spans of the last collection (empty after a
+  /// sequential one). Call at rest, like stats().
   const std::vector<GcWorkerSpan>& last_gc_spans() const { return last_spans_; }
 
   // --- statics ------------------------------------------------------------
@@ -313,8 +305,6 @@ class Heap {
   Obj* bump(Word*& ptr, Word* end, ObjKind kind, std::uint16_t tag, std::uint32_t payload_words);
   void reset_nurseries();
 
-  // Sequential collector (gc_threads == 1): the original baseline path.
-  std::uint64_t collect_seq(const RootWalker& walk_roots, bool force_major);
   // Parallel collector.
   std::uint64_t collect_parallel(std::vector<RootWalker> shards, bool force_major);
   /// Carves a to-space chunk of `words` from the shared cursor (main
@@ -325,7 +315,6 @@ class Heap {
   /// Claims a team slot in the open session (gcs_mutex_ held on entry and
   /// exit; released while working). Returns false if no slot was free.
   bool join_session(std::unique_lock<std::mutex>& lk);
-  void pool_worker();
 
   HeapConfig cfg_;
 
@@ -352,9 +341,10 @@ class Heap {
   std::size_t old_capacity_ = 0;
   std::mutex old_mutex_;  // large-object allocation; GC block refills
 
-  // Block-structured to-space bookkeeping (parallel collector; a
-  // sequential heap keeps old_segments_ empty and tail_base_ == old_base_,
-  // making every accessor below degenerate to the contiguous layout).
+  // Block-structured to-space bookkeeping (parallel collector). Until a
+  // team collection runs, old_segments_ stays empty and tail_base_ ==
+  // old_base_, making every accessor below degenerate to the contiguous
+  // layout; a sequential major collection restores that layout.
   struct OldSegment {
     Word* start;
     Word* filled;
@@ -388,15 +378,12 @@ class Heap {
 
   // --- GC worker-team session ------------------------------------------------
   std::uint32_t gc_threads_ = 1;
-  std::mutex gcs_mutex_;  // session open/close, joins, pool lifecycle
+  std::mutex gcs_mutex_;  // session open/close, joins
   std::condition_variable gccv_;
   GcShared* session_ = nullptr;  // non-null while a team is assembled
   bool gc_open_ = false;         // accepting joiners
   std::uint32_t gc_joined_ = 0;  // team slots claimed (leader = slot 0)
   std::atomic<std::uint32_t> gc_exited_{0};  // helpers done with this session
-  bool gc_donation_ = false;
-  bool gc_shutdown_ = false;
-  std::vector<std::thread> gc_pool_;  // lazily spawned internal workers
   std::vector<GcWorkerSpan> last_spans_;
 };
 

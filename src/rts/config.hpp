@@ -86,10 +86,12 @@ struct RtsConfig {
   /// GHC's +RTS -DS: run the sanity auditor (full heap walk + scheduler
   /// invariant checks) after every collection and at driver shutdown.
   bool sanity = false;
-  /// GC worker-team size (--gc-threads=N). 0 = match n_caps, the GHC 6.10
-  /// parallel-GC default; 1 = the sequential collector, bit-for-bit the
-  /// baseline behaviour. Machine copies the resolved value into
-  /// HeapConfig::gc_threads before building the heap.
+  /// GC team size under ThreadedDriver (--gc-threads=N): the leader plus
+  /// the capabilities parked at its GC barrier, so at most n_caps. 0 =
+  /// match n_caps, the GHC 6.10 parallel-GC default; 1 = the sequential
+  /// collector. Every other driver collects sequentially whatever this
+  /// says. Machine copies the resolved value into HeapConfig::gc_threads
+  /// before building the heap.
   std::uint32_t gc_threads = 0;
   /// Eden middleware selection (--eden-transport=sim|shm|tcp) and driver
   /// (--eden-rt: run PEs on OS threads against wall-clock time instead of

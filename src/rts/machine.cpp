@@ -114,7 +114,11 @@ Machine::Machine(const Program& prog, RtsConfig cfg) : prog_(prog), cfg_(std::mo
   }
   if (cfg_.n_caps == 0) throw ProgramError("machine needs at least one capability");
   cfg_.heap.n_nurseries = cfg_.n_caps;
-  cfg_.heap.gc_threads = cfg_.gc_threads == 0 ? cfg_.n_caps : cfg_.gc_threads;
+  // A team is the leader plus the capabilities parked at ThreadedDriver's
+  // barrier, so it never outgrows -N; a larger team would wait out the
+  // heap's gang-assembly window at every collection.
+  cfg_.heap.gc_threads =
+      cfg_.gc_threads == 0 ? cfg_.n_caps : std::min(cfg_.gc_threads, cfg_.n_caps);
   heap_ = std::make_unique<Heap>(cfg_.heap);
   caps_.reserve(cfg_.n_caps);
   for (std::uint32_t i = 0; i < cfg_.n_caps; ++i)
@@ -731,7 +735,9 @@ void Machine::validate_roots(const char* when) {
 }
 
 std::uint64_t Machine::collect(bool force_major) {
-  std::uint64_t r = heap_->gc_threads() > 1
+  // Only ThreadedDriver's parked capabilities can join a team; every other
+  // driver (and a Machine driven by hand) collects sequentially.
+  std::uint64_t r = concurrent_ && heap_->gc_threads() > 1
                         ? heap_->collect(root_shards(), force_major)
                         : heap_->collect([this](Gc& gc) { walk_roots(gc); }, force_major);
   if (std::getenv("PARHASK_GC_VALIDATE") != nullptr) validate_roots("post-collect");

@@ -330,7 +330,10 @@ class Machine {
 
   // --- GC ------------------------------------------------------------------------
   /// Runs a collection. ALL mutators must be stopped (the drivers enforce
-  /// the barrier). Returns words copied (the pause-cost proxy).
+  /// the barrier). While concurrent (ThreadedDriver) and gc_threads > 1,
+  /// it leads a parallel collection whose team is the parked
+  /// capabilities; otherwise it runs the sequential collector. Returns
+  /// words copied (the pause-cost proxy).
   std::uint64_t collect(bool force_major = false);
   /// Registers an extra root-walking callback (Eden inport tables, host
   /// marshalling guards).
@@ -364,8 +367,9 @@ class Machine {
   const MachineStats& stats() const { return stats_; }
 
   /// Enables the striped object locks serialising thunk entry / update /
-  /// black-holing. Engaged by the threaded driver; the (single-OS-thread)
-  /// simulation drivers leave it off and pay nothing.
+  /// black-holing, and the parallel collector in collect(). Engaged by the
+  /// threaded driver; the (single-OS-thread) simulation drivers leave it
+  /// off and pay nothing.
   void set_concurrent(bool on) { concurrent_ = on; }
   bool concurrent() const { return concurrent_; }
   /// Locks the transition stripe for `o` (no-op lock when not concurrent).

@@ -10,10 +10,10 @@ namespace ph {
 
 ThreadedResult ThreadedDriver::run(Tso* main_tso) {
   const auto t0 = std::chrono::steady_clock::now();
+  // While concurrent, Machine::collect runs the parallel collector, and
+  // the capabilities parked at the barrier below are its team (GHC 6.10
+  // style).
   m_.set_concurrent(true);
-  // The stopped capabilities themselves are the GC worker team (GHC 6.10
-  // style): suppress the heap's internal pool for the duration of the run.
-  m_.heap().set_gc_donation(true);
   done_.store(false);
   deadlocked_.store(false);
   {
@@ -22,7 +22,6 @@ ThreadedResult ThreadedDriver::run(Tso* main_tso) {
     for (std::uint32_t i = 0; i < m_.n_caps(); ++i)
       workers.emplace_back([this, i, main_tso] { worker(i, main_tso); });
   }
-  m_.heap().set_gc_donation(false);
   m_.set_concurrent(false);
   if (m_.config().sanity) m_.sanity_check("threaded shutdown");
   const auto t1 = std::chrono::steady_clock::now();

@@ -16,7 +16,8 @@
 // paper optimises. With --gc-threads > 1 the parked capabilities do not
 // just wait: they poll Heap::try_help_collect() and join the leader's
 // worker team (GHC 6.10's parallel GC recruited the stopped capabilities
-// the same way), then resume mutating when the epoch advances.
+// the same way), then resume mutating when the epoch advances. This is the
+// only place a GC team forms; every other driver collects sequentially.
 #pragma once
 
 #include <atomic>

@@ -178,17 +178,6 @@ void SimDriver::finish_gc() {
   const std::uint64_t pause = cost_.gc_fixed + copied * cost_.gc_per_word;
   result_.gc_count++;
   result_.gc_pause_total += pause;
-  // Parallel collections: overlay each GC worker's busy span (edentv-style)
-  // so a trace shows how evenly the copy work spread across the team. The
-  // *virtual* pause above stays the sequential cost model — words copied is
-  // schedule-independent, so determinism is unaffected.
-  if (trace_ != nullptr && m_.heap().gc_threads() > 1) {
-    for (const GcWorkerSpan& sp : m_.heap().last_gc_spans()) {
-      const std::uint32_t lane = std::min(sp.worker, m_.n_caps() - 1);
-      trace_->note(lane, gc_start,
-                   gc_span_note(sp.worker, sp.words_copied, sp.end_ns - sp.start_ns));
-    }
-  }
   for (std::uint32_t i = 0; i < m_.n_caps(); ++i) {
     if (trace_ != nullptr) trace_->record(i, gc_start, gc_start + pause, CapState::Gc);
     caps_[i].time = gc_start + pause;

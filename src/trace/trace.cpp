@@ -46,13 +46,6 @@ void TraceLog::note(std::uint32_t row, std::uint64_t time, std::string text) {
   notes_.push_back(Note{row, time, std::move(text)});
 }
 
-std::string gc_span_note(std::uint32_t worker, std::uint64_t words_copied,
-                         std::uint64_t busy_ns) {
-  return "gc worker " + std::to_string(worker) + ": " +
-         std::to_string(words_copied) + "w copied, busy " +
-         std::to_string(busy_ns) + "ns";
-}
-
 std::uint64_t TraceLog::end_time() const {
   std::uint64_t t = 0;
   for (const auto& r : rows_)

@@ -42,13 +42,6 @@ struct Note {
   std::string text;
 };
 
-/// Formats a parallel-GC worker's busy span as Note text ("gc worker 2:
-/// 1234w copied, busy 56789ns"). Drivers attach one per team worker after
-/// a parallel collection so copy-work balance shows up in the same trace
-/// artefact as the activity profile (see GcWorkerSpan in heap/heap.hpp).
-std::string gc_span_note(std::uint32_t worker, std::uint64_t words_copied,
-                         std::uint64_t busy_ns);
-
 class TraceLog {
  public:
   explicit TraceLog(std::uint32_t n_rows) : rows_(n_rows) {}

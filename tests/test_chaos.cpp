@@ -360,13 +360,11 @@ TEST(ProcGuards, ProcDriverRejectsNonProcSystems) {
   EXPECT_THROW(EdenProcDriver d(*thr.sys), ProgramError);
 }
 
-TEST(ProcGuards, ProcSystemsForceReliableChannelsAndSequentialGc) {
+TEST(ProcGuards, ProcSystemsForceReliableChannels) {
   // The supervisor replays send logs, so the reliable protocol must be on
-  // even without a fault plan; and a parallel-GC worker team started
-  // before fork() would not survive into the children.
+  // even without a fault plan.
   ProcRig r(2);
   EXPECT_TRUE(r.sys->realtime());
-  EXPECT_EQ(r.sys->config().pe_rts.gc_threads, 1u);
 }
 
 TEST(ProcGuards, RtsFlagsSelectProcTransport) {

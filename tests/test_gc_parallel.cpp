@@ -2,21 +2,25 @@
 //
 // The collector under test is the GHC 6.10-style parallel stop-the-world
 // copying GC: block-structured to-space, CAS-claimed forwarding, per-worker
-// scavenge deques with work stealing, busy-counter termination. The tests
-// here attack it from four sides:
+// scavenge deques with work stealing, busy-counter termination. The heap
+// starts no thread of its own: a team is the leader plus whoever joins
+// through try_help_collect() — in the runtime, ThreadedDriver's parked
+// capabilities; here, donor threads. The tests attack it from four sides:
 //
 //   * randomized object-graph torture: seeded graphs with shared subgraphs,
-//     cycles, long chains and large arrays, collected with 1..8 GC threads;
+//     cycles, long chains and large arrays, collected by teams of 1..8;
 //     the surviving graph must be isomorphic to what the sequential oracle
 //     (gc_threads == 1, the unchanged baseline collector) produces, and the
 //     heap must pass a -DS-grade audit after every collection;
 //   * a seeded schedule-exploration case proving BOTH outcomes of the
 //     evacuation CAS race (leader copies / helper copies) are reachable and
 //     benign — exactly one copy, value intact, aliased slots agree;
-//   * a Machine-level torture run with the real -DS sanity auditor active
-//     after every collection;
+//   * a Machine-level torture run, driven by hand and so collected
+//     sequentially, with the real -DS sanity auditor active after every
+//     collection;
 //   * a ThreadedDriver hammer (many concurrent collections under mutation —
-//     the TSan target via the gc/sanitize-gc CTest label) checking the
+//     the TSan target via the gc/sanitize-gc CTest label), with and without
+//     the real -DS sanity auditor after every collection, checking the
 //     per-worker single-writer counters sum coherently.
 #include <gtest/gtest.h>
 
@@ -176,6 +180,31 @@ std::vector<Heap::RootWalker> shard_roots(std::vector<Obj*>& roots, std::size_t 
   return shards;
 }
 
+// Donor threads polling try_help_collect() for as long as they live, the
+// way ThreadedDriver's parked capabilities poll it at its GC barrier.
+class Donors {
+ public:
+  Donors(Heap& h, std::uint32_t n) {
+    for (std::uint32_t i = 0; i < n; ++i)
+      threads_.emplace_back([this, &h] {
+        while (!stop_.load(std::memory_order_acquire)) {
+          h.try_help_collect();
+          std::this_thread::yield();
+        }
+      });
+  }
+  ~Donors() {
+    stop_.store(true, std::memory_order_release);
+    for (std::thread& t : threads_) t.join();
+  }
+  Donors(const Donors&) = delete;
+  Donors& operator=(const Donors&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
+};
+
 // --- the torture test --------------------------------------------------------
 
 class GcTorture : public ::testing::TestWithParam<std::uint32_t> {};
@@ -205,7 +234,11 @@ TEST_P(GcTorture, RandomGraphsMatchSequentialOracle) {
             for (Obj*& r : oroots) gc.evacuate(r);
           },
           major);
-      const std::uint64_t sc = subject.collect(shard_roots(sroots, 4), major);
+      std::uint64_t sc;
+      {
+        Donors donors(subject, threads - 1);  // the team: this thread leads
+        sc = subject.collect(shard_roots(sroots, 4), major);
+      }
       // The live set is schedule-independent: both collectors must copy
       // exactly the same number of words.
       EXPECT_EQ(oc, sc);
@@ -260,8 +293,7 @@ TEST(GcParallelSched, EvacuationCasRaceBothOutcomesBenign) {
       hc.nursery_words = 1024;
       hc.old_words = 32 * 1024;
       hc.gc_threads = 2;
-      Heap h(hc);
-      h.set_gc_donation(true);  // no pool: the team is leader + helper below
+      Heap h(hc);  // the team: the leader and the helper below
       Obj* v = h.alloc(0, ObjKind::Int, 0, 1);
       ASSERT_NE(v, nullptr);
       v->payload()[0] = 42;
@@ -302,10 +334,15 @@ TEST(GcParallelSched, EvacuationCasRaceBothOutcomesBenign) {
 }
 
 // --- Machine-level torture under the real -DS auditor ------------------------
+// A Machine driven by hand has no parked capabilities to recruit, so every
+// collection takes the sequential path whatever --gc-threads says; the
+// auditor runs after each one. (The audit of team collections is the -DS
+// input of ThreadedSumEulerUnderParallelGcPressure below.)
 
 TEST(GcParallel, MachineTortureUnderSanityAuditor) {
   for (std::uint32_t threads : {2u, 4u}) {
-    RtsConfig cfg = config_plain(1);
+    SCOPED_TRACE("--gc-threads=" + std::to_string(threads));
+    RtsConfig cfg = config_plain(threads);
     cfg.sanity = true;  // -DS: full audit after every collection
     cfg.gc_threads = threads;
     cfg.heap.nursery_words = 4096;
@@ -315,7 +352,7 @@ TEST(GcParallel, MachineTortureUnderSanityAuditor) {
     std::vector<Obj*> protect{nullptr};
     RootGuard guard(m, protect);
     // A long cons list built through alloc_with_gc: every allocation may
-    // trigger a (parallel) collection with the auditor behind it.
+    // trigger a collection with the auditor behind it.
     std::int64_t sum = 0;
     Obj* list = m.alloc_with_gc(0, ObjKind::Con, 0, 0);  // nil
     protect[0] = list;
@@ -340,7 +377,10 @@ TEST(GcParallel, MachineTortureUnderSanityAuditor) {
     }
     EXPECT_EQ(len, 4000u);
     EXPECT_EQ(got, sum);
-    EXPECT_GT(m.heap().stats().parallel_collections, 0u);
+    const GcStats& s = m.heap().stats();
+    EXPECT_GT(s.minor_collections, 0u);
+    EXPECT_GT(s.major_collections, 0u);
+    EXPECT_EQ(s.parallel_collections, 0u);
     EXPECT_EQ(m.heap().gc_threads(), threads);
   }
 }
@@ -349,32 +389,55 @@ TEST(GcParallel, MachineTortureUnderSanityAuditor) {
 // Real mutator threads, frequent collections, capabilities donated as GC
 // workers. The per-worker words_copied counters are single-writer and
 // summed by the leader — TSan (via the sanitize-gc label) checks exactly
-// that discipline; here we check the sums stay coherent.
+// that discipline; here we check the sums stay coherent. The -DS input
+// has the auditor walk the block-structured heap after every team
+// collection, at shutdown, and after one more collection by hand —
+// sequential, since no driver runs the machine any more. --gc-threads
+// beyond -N asks for helpers that cannot exist (only parked capabilities
+// join), so the team stays at -N.
 
 TEST(GcParallel, ThreadedSumEulerUnderParallelGcPressure) {
-  RtsConfig cfg = config_worksteal(4);
-  cfg.heap.nursery_words = 2048;  // many stop-the-world collections
-  cfg.gc_threads = 4;
-  Rig r([](Builder& b) { build_sumeuler(b); }, cfg);
-  Tso* t = r.m->spawn_apply(r.prog.find("sumEulerPar"),
-                            {make_int(*r.m, 0, 8), make_int(*r.m, 0, 80)}, 0);
-  ThreadedDriver d(*r.m);
-  ThreadedResult res = d.run(t);
-  ASSERT_FALSE(res.deadlocked);
-  EXPECT_EQ(read_int(res.value), sum_euler_reference(80));
-  const GcStats& s = r.m->heap().stats();
-  EXPECT_GT(s.parallel_collections, 0u);
-  EXPECT_EQ(s.parallel_collections, s.minor_collections + s.major_collections);
-  EXPECT_GT(s.words_copied_minor + s.words_copied_major, 0u);
-  EXPECT_GE(s.last_gc_workers, 1u);
-  EXPECT_LE(s.last_gc_workers, 4u);
-  EXPECT_GE(s.last_gc_balance, 1.0);
-  EXPECT_GT(s.gc_elapsed_ns, 0u);
+  struct Input {
+    bool sanity;
+    std::uint32_t gc_threads;
+  };
+  for (Input in : {Input{false, 4}, Input{true, 4}, Input{false, 8}}) {
+    SCOPED_TRACE(std::string(in.sanity ? "-DS" : "no audit") +
+                 ", --gc-threads=" + std::to_string(in.gc_threads));
+    RtsConfig cfg = config_worksteal(4);
+    cfg.heap.nursery_words = 2048;  // many stop-the-world collections
+    cfg.gc_threads = in.gc_threads;
+    cfg.sanity = in.sanity;
+    Rig r([](Builder& b) { build_sumeuler(b); }, cfg);
+    Tso* t = r.m->spawn_apply(r.prog.find("sumEulerPar"),
+                              {make_int(*r.m, 0, 8), make_int(*r.m, 0, 80)}, 0);
+    ThreadedDriver d(*r.m);
+    ThreadedResult res = d.run(t);
+    ASSERT_FALSE(res.deadlocked);
+    EXPECT_EQ(read_int(res.value), sum_euler_reference(80));
+    EXPECT_EQ(r.m->heap().gc_threads(), 4u);
+    const GcStats& s = r.m->heap().stats();
+    EXPECT_GT(s.parallel_collections, 0u);
+    EXPECT_EQ(s.parallel_collections, s.minor_collections + s.major_collections);
+    EXPECT_GT(s.words_copied_minor + s.words_copied_major, 0u);
+    EXPECT_GE(s.last_gc_workers, 1u);
+    EXPECT_LE(s.last_gc_workers, 4u);
+    EXPECT_GE(s.last_gc_balance, 1.0);
+    EXPECT_GT(s.gc_elapsed_ns, 0u);
+    const std::uint64_t team = s.parallel_collections;
+    std::vector<Obj*> keep{res.value};
+    RootGuard guard(*r.m, keep);
+    r.m->collect(/*force_major=*/true);  // audited when sanity is on
+    EXPECT_EQ(s.parallel_collections, team);
+    EXPECT_EQ(read_int(keep[0]), sum_euler_reference(80));
+  }
 }
 
 // --- sequential-path equivalence ---------------------------------------------
 // --gc-threads=1 must keep the baseline collector: no team, no spans, no
 // parallel bookkeeping, and byte-identical results on the same program.
+// (A SimDriver run collects sequentially whatever --gc-threads says;
+// Determinism.SameSeedSameTraceAcrossRuns checks that.)
 
 TEST(GcParallel, SingleGcThreadKeepsSequentialPath) {
   RtsConfig cfg = config_worksteal(2);

@@ -234,6 +234,16 @@ TEST(Heap, GrowsOldGenerationOnDemand) {
 }
 
 // --- parallel-collector block-allocator regressions --------------------------
+// A team collection led by the test thread with no helper joining: one
+// worker still copies through the block-structured to-space.
+
+std::uint64_t team_collect(Heap& h, std::vector<Obj*>& roots, bool force_major = false) {
+  std::vector<Heap::RootWalker> shards;
+  shards.push_back([&roots](Gc& gc) {
+    for (Obj*& r : roots) gc.evacuate(r);
+  });
+  return h.collect(std::move(shards), force_major);
+}
 
 TEST(HeapBlocks, RefillAtExactBlockBoundary) {
   // gc_block_words = 16 (the clamp minimum); Ints with 7 payload words cost
@@ -250,9 +260,7 @@ TEST(HeapBlocks, RefillAtExactBlockBoundary) {
     o->payload()[0] = static_cast<Word>(i);
     roots.push_back(o);
   }
-  h.collect([&roots](Gc& gc) {
-    for (Obj*& r : roots) gc.evacuate(r);
-  });
+  team_collect(h, roots);
   EXPECT_EQ(h.stats().parallel_collections, 1u);
   for (std::int64_t i = 0; i < 20; ++i) {
     EXPECT_FALSE(h.in_nursery(roots[static_cast<std::size_t>(i)]));
@@ -277,9 +285,7 @@ TEST(HeapBlocks, BlockHolesAreNotLiveAndWalkSkipsThem) {
     o->payload()[0] = static_cast<Word>(i);
     roots.push_back(o);
   }
-  h.collect([&roots](Gc& gc) {
-    for (Obj*& r : roots) gc.evacuate(r);
-  });
+  team_collect(h, roots);
   std::size_t walked = 0;
   std::int64_t sum = 0;
   h.walk_objects([&](Obj* o, const char*, std::uint32_t, const Word*) {
@@ -293,6 +299,26 @@ TEST(HeapBlocks, BlockHolesAreNotLiveAndWalkSkipsThem) {
   // a pointer one word past the last object's footprint that lands between
   // segments must not be "live".
   for (Obj* r : roots) EXPECT_TRUE(h.in_live_old(r));
+  // A Machine collects with a team only under ThreadedDriver, so the
+  // sequential collector must take this layout over: a minor promotes into
+  // the open tail above the segments, and a major restores one contiguous
+  // old generation.
+  roots.push_back(alloc_int(h, 0, 25));
+  auto walk = [&roots](Gc& gc) {
+    for (Obj*& r : roots) gc.evacuate(r);
+  };
+  h.collect(walk);
+  EXPECT_EQ(h.stats().minor_collections, 2u);
+  h.collect(walk, /*force_major=*/true);
+  EXPECT_EQ(h.stats().parallel_collections, 1u);
+  EXPECT_TRUE(h.last_gc_spans().empty());
+  const HeapCensus c = h.census();  // a stale segment would add Fwd shells
+  EXPECT_EQ(c.objects, 26u);
+  EXPECT_EQ(c.objects_by_kind[static_cast<std::size_t>(ObjKind::Int)], 26u);
+  for (std::int64_t i = 0; i <= 25; ++i) {
+    EXPECT_TRUE(h.in_live_old(roots[static_cast<std::size_t>(i)]));
+    EXPECT_EQ(roots[static_cast<std::size_t>(i)]->int_value(), i);
+  }
 }
 
 TEST(HeapBlocks, LargeObjectsGetDedicatedExactBlocks) {
@@ -311,9 +337,7 @@ TEST(HeapBlocks, LargeObjectsGetDedicatedExactBlocks) {
     roots.push_back(big);
     roots.push_back(alloc_int(h, 0, i));  // interleave small survivors
   }
-  h.collect([&roots](Gc& gc) {
-    for (Obj*& r : roots) gc.evacuate(r);
-  });
+  team_collect(h, roots);
   EXPECT_EQ(h.stats().parallel_collections, 1u);
   EXPECT_EQ(h.stats().tospace_overflows, 0u);
   Obj* s = roots[0]->ptr_payload()[0];
@@ -333,39 +357,51 @@ TEST(HeapBlocks, ToSpaceExhaustionGrowsOldGenMidCollection) {
   // 34 blocks of 1024 = 34816 words (two objects per block, 340 wasted
   // each): mid-collection the carve cursor MUST fall off the semispace and
   // grab an overflow slab instead of throwing.
-  HeapConfig cfg;
-  cfg.n_nurseries = 1;
-  cfg.nursery_words = 64;
-  cfg.old_words = 32 * 1024;
-  cfg.gc_threads = 2;
-  cfg.gc_block_words = 1024;
-  Heap h(cfg);
-  std::vector<Obj*> roots;
-  for (std::int64_t i = 0; i < 67; ++i) {
-    Obj* o = h.alloc_old(ObjKind::Int, 0, 341);
-    ASSERT_NE(o, nullptr);
-    o->payload()[0] = static_cast<Word>(i);
-    roots.push_back(o);
+  for (bool sequential_next : {false, true}) {
+    SCOPED_TRACE(sequential_next ? "sequential next major" : "team next major");
+    HeapConfig cfg;
+    cfg.n_nurseries = 1;
+    cfg.nursery_words = 64;
+    cfg.old_words = 32 * 1024;
+    cfg.gc_threads = 2;
+    cfg.gc_block_words = 1024;
+    Heap h(cfg);
+    std::vector<Obj*> roots;
+    for (std::int64_t i = 0; i < 67; ++i) {
+      Obj* o = h.alloc_old(ObjKind::Int, 0, 341);
+      ASSERT_NE(o, nullptr);
+      o->payload()[0] = static_cast<Word>(i);
+      roots.push_back(o);
+    }
+    team_collect(h, roots, /*force_major=*/true);
+    EXPECT_GE(h.stats().tospace_overflows, 1u);
+    EXPECT_GE(h.old_overflow_regions(), 1u);
+    for (std::int64_t i = 0; i < 67; ++i) {
+      Obj* o = roots[static_cast<std::size_t>(i)];
+      EXPECT_TRUE(h.in_live_old(o));
+      EXPECT_EQ(o->int_value(), i);
+    }
+    // The next major evacuates the overflow slabs and frees them — the
+    // sequential collector too, which a Machine runs outside
+    // ThreadedDriver. The last objects copied are the ones in the slab.
+    roots.erase(roots.begin(), roots.end() - 5);
+    if (sequential_next) {
+      h.collect([&roots](Gc& gc) {
+        for (Obj*& r : roots) gc.evacuate(r);
+      }, /*force_major=*/true);
+    } else {
+      team_collect(h, roots, /*force_major=*/true);
+    }
+    EXPECT_EQ(h.old_overflow_regions(), 0u);
+    EXPECT_EQ(h.stats().parallel_collections, sequential_next ? 1u : 2u);
+    for (std::int64_t i = 0; i < 5; ++i) {
+      EXPECT_TRUE(h.in_live_old(roots[static_cast<std::size_t>(i)]));
+      EXPECT_EQ(roots[static_cast<std::size_t>(i)]->int_value(), 62 + i);
+    }
+    const HeapCensus c = h.census();
+    EXPECT_EQ(c.objects, 5u);
+    EXPECT_EQ(c.objects_by_kind[static_cast<std::size_t>(ObjKind::Int)], 5u);
   }
-  h.collect([&roots](Gc& gc) {
-    for (Obj*& r : roots) gc.evacuate(r);
-  }, /*force_major=*/true);
-  EXPECT_GE(h.stats().tospace_overflows, 1u);
-  EXPECT_GE(h.old_overflow_regions(), 1u);
-  for (std::int64_t i = 0; i < 67; ++i) {
-    Obj* o = roots[static_cast<std::size_t>(i)];
-    EXPECT_TRUE(h.in_live_old(o));
-    EXPECT_EQ(o->int_value(), i);
-  }
-  // The next major evacuates the overflow slabs and frees them.
-  roots.resize(5);
-  h.collect([&roots](Gc& gc) {
-    for (Obj*& r : roots) gc.evacuate(r);
-  }, /*force_major=*/true);
-  EXPECT_EQ(h.old_overflow_regions(), 0u);
-  for (std::int64_t i = 0; i < 5; ++i)
-    EXPECT_EQ(roots[static_cast<std::size_t>(i)]->int_value(), i);
-  EXPECT_EQ(h.census().objects_by_kind[static_cast<std::size_t>(ObjKind::Int)], 5u);
 }
 
 }  // namespace

@@ -180,16 +180,49 @@ TEST(DeepForce, NormalisesNestedStructures) {
 }
 
 TEST(Determinism, SameSeedSameTraceAcrossRuns) {
-  auto one = [] {
-    Rig r([](Builder& b) { build_sumeuler(b); }, config_worksteal(4));
-    TraceLog trace(4);
-    SimResult res = r.run("sumEulerPar", {6, 70}, &trace);
-    return std::pair<std::uint64_t, std::string>(res.makespan, trace.to_csv());
+  // Each input runs twice and must give the same makespan and trace. SimDriver
+  // must also collect sequentially although --gc-threads defaults to -N: a
+  // team's thread schedule would leak into the figures.
+  struct Run {
+    std::uint64_t makespan;
+    std::string csv;
+    GcStats gc;
   };
-  auto a = one();
-  auto b = one();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
+  const std::int64_t n = 24;
+  const DistMat d = random_graph(static_cast<std::size_t>(n), 4242);
+  const std::vector<std::function<Run()>> inputs = {
+      [] {
+        RtsConfig cfg = config_worksteal(4);
+        cfg.heap.nursery_words = 4 * 1024;  // fig1's default area, so it collects
+        Rig r([](Builder& b) { build_sumeuler(b); }, cfg);
+        TraceLog trace(4);
+        SimResult res = r.run("sumEulerPar", {6, 70}, &trace);
+        return Run{res.makespan, trace.to_csv(), r.m->heap().stats()};
+      },
+      // ablation_blackhole's lazy-BH APSP configuration: 8 capabilities
+      // racing on shared row thunks.
+      [&d, n] {
+        RtsConfig cfg = config_worksteal(8);
+        cfg.blackhole = BlackholePolicy::Lazy;
+        cfg.heap.nursery_words = 32 * 1024;
+        Rig r([](Builder& b) { build_apsp(b); }, cfg);
+        TraceLog trace(8);
+        Obj* nv = make_int(*r.m, 0, n);
+        Obj* mo = make_int_matrix(*r.m, 0, d);
+        SimResult res = r.run_obj_args("apspChecksum", {nv, mo}, &trace);
+        EXPECT_EQ(read_int(res.value), apsp_checksum(floyd_warshall(d)));
+        return Run{res.makespan, trace.to_csv(), r.m->heap().stats()};
+      },
+  };
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    const Run a = inputs[i]();
+    const Run b = inputs[i]();
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.csv, b.csv);
+    EXPECT_GT(a.gc.minor_collections, 0u);
+    EXPECT_EQ(a.gc.parallel_collections, 0u);
+  }
 }
 
 }  // namespace
