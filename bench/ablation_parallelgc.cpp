@@ -17,10 +17,12 @@
 //              per side.
 //
 // Every run's value is checked against the host-side reference. Each cell
-// reports the median and quartiles of end-to-end wall seconds and of GC
-// seconds (time inside collect()), the median collection counts, the
-// repetitions, and how many pairs the team won; the JSON record also names
-// the host's cores and CPU model.
+// reports the median and quartiles of end-to-end wall seconds, of GC
+// seconds (time inside collect()) and of barrier seconds (per collection,
+// the wait from the first capability reaching the GC barrier to the
+// leader starting collect(); MachineStats::gc_sync_ns), the median
+// collection counts, the repetitions, and how many pairs the team won;
+// the JSON record also names the host's cores and CPU model.
 //
 //   ablation_parallelgc [--caps C] [--reps 7] [--apsp-n 120]
 //                       [--apsp-small-n 48] [--mat-n 96] [--q 4]
@@ -38,6 +40,7 @@
 //           { "gc_threads": 1, "reps": 7,
 //             "wall_s": {"median": ..., "q1": ..., "q3": ...},
 //             "gc_s": {"median": ..., "q1": ..., "q3": ...},
+//             "sync_s": {"median": ..., "q1": ..., "q3": ...},
 //             "collections": ..., "parallel_collections": 0 }, ... ] }, ... ] }
 // (collection counts are medians over the repetitions).
 #include <sched.h>
@@ -85,6 +88,7 @@ double quantile(std::vector<double> xs, double q) {
 struct Run {
   double wall_s = 0.0;
   double gc_s = 0.0;
+  double sync_s = 0.0;
   double collections = 0.0;
   double parallel_collections = 0.0;
   std::int64_t value = 0;
@@ -124,6 +128,7 @@ Run run_once(const Program& prog, const RtsConfig& cfg,
   Run run;
   run.wall_s = r.seconds;
   run.gc_s = static_cast<double>(gs.gc_elapsed_ns) / 1e9;
+  run.sync_s = static_cast<double>(m.stats().gc_sync_ns) / 1e9;
   run.collections = static_cast<double>(gs.minor_collections + gs.major_collections);
   run.parallel_collections = static_cast<double>(gs.parallel_collections);
   run.value = read_int(r.value);
@@ -197,8 +202,9 @@ int main(int argc, char** argv) {
               "%lld-word nursery, %d alternating reps\n",
               caps, static_cast<long long>(nursery), reps);
   std::printf("host: %u cores, %s\n\n", cores, cpu.c_str());
-  std::printf("%-8s %5s %10s %28s %28s %6s %6s %5s\n", "workload", "n", "gc-threads",
-              "wall s: median [q1, q3]", "gc s: median [q1, q3]", "GCs", "teamGC", "wins");
+  std::printf("%-8s %5s %10s %28s %28s %28s %6s %6s %5s\n", "workload", "n", "gc-threads",
+              "wall s: median [q1, q3]", "gc s: median [q1, q3]", "barrier s: median [q1, q3]",
+              "GCs", "teamGC", "wins");
 
   bool values_ok = true;
   bool team_ran = true;
@@ -228,13 +234,16 @@ int main(int argc, char** argv) {
     for (const Cell* c : {&w.seq, &w.team}) {
       const std::vector<double> wall = c->column(&Run::wall_s);
       const std::vector<double> gc = c->column(&Run::gc_s);
-      char wall_s[64], gc_s[64];
+      const std::vector<double> sync = c->column(&Run::sync_s);
+      char wall_s[64], gc_s[64], sync_s[64];
       std::snprintf(wall_s, sizeof(wall_s), "%.4f [%.4f, %.4f]", quantile(wall, 0.5),
                     quantile(wall, 0.25), quantile(wall, 0.75));
       std::snprintf(gc_s, sizeof(gc_s), "%.4f [%.4f, %.4f]", quantile(gc, 0.5),
                     quantile(gc, 0.25), quantile(gc, 0.75));
-      std::printf("%-8s %5lld %10u %28s %28s %6.0f %6.0f", w.name.c_str(),
-                  static_cast<long long>(w.n), c->gc_threads, wall_s, gc_s,
+      std::snprintf(sync_s, sizeof(sync_s), "%.4f [%.4f, %.4f]", quantile(sync, 0.5),
+                    quantile(sync, 0.25), quantile(sync, 0.75));
+      std::printf("%-8s %5lld %10u %28s %28s %28s %6.0f %6.0f", w.name.c_str(),
+                  static_cast<long long>(w.n), c->gc_threads, wall_s, gc_s, sync_s,
                   quantile(c->column(&Run::collections), 0.5),
                   quantile(c->column(&Run::parallel_collections), 0.5));
       if (c == &w.team) std::printf(" %2d/%d", w.team_wins, reps);
@@ -256,6 +265,7 @@ int main(int argc, char** argv) {
       json << "      {\"gc_threads\": " << c->gc_threads << ", \"reps\": " << c->runs.size()
            << ", \"wall_s\": " << stat_json(c->column(&Run::wall_s))
            << ", \"gc_s\": " << stat_json(c->column(&Run::gc_s))
+           << ", \"sync_s\": " << stat_json(c->column(&Run::sync_s))
            << ", \"collections\": " << quantile(c->column(&Run::collections), 0.5)
            << ", \"parallel_collections\": "
            << quantile(c->column(&Run::parallel_collections), 0.5) << "}"

@@ -18,10 +18,13 @@
 // The kill offset is *derived from the measured warm-up run* (35% of the
 // supervised median, floored at 1.5ms), not hard-coded: a fixed offset
 // silently stops crashing anything the moment the machine gets faster
-// and the benchmark degrades into measuring nothing. If a crashed rep
-// still finishes before its kill lands, the offset is halved and the rep
-// retried (bounded), so "crashed" rows really crashed. Every mode runs
-// >= 3 reps and reports medians (--reps raises the count).
+// and the benchmark degrades into measuring nothing. A kill lands when
+// the supervisor saw the death and respawned the PE (it respawns only a
+// victim that still held work); if a crashed rep's kill did not land, the
+// offset is halved and the rep retried (bounded), so "crashed" rows
+// really recovered, and a row with a rep that never landed fails the run
+// (exit 1) after the JSON is written. Every mode runs >= 3 reps and
+// reports medians (--reps raises the count).
 //
 // Every run's value is checked against the crash-free sim oracle — a
 // chaos benchmark whose answers drift is measuring a bug, not recovery.
@@ -74,7 +77,7 @@ struct ChaosRow {
   std::string wire;
   std::uint32_t pes = 0;
   std::size_t reps = 0;          // reps per mode
-  std::size_t crashed_reps = 0;  // crash reps where the kill really landed
+  std::size_t crashed_reps = 0;  // crash reps whose kill landed (PE respawned)
   std::uint64_t kill_offset_us = 0;  // median achieved kill offset
   double sup_on = 0.0;   // median seconds, default heartbeats, no crash
   double sup_off = 0.0;  // median seconds, dormant heartbeats, no crash
@@ -219,6 +222,7 @@ int main(int argc, char** argv) {
               "replayed", "replay(us)");
 
   std::vector<ChaosRow> rows;
+  bool missed = false;  // a crash row with a rep whose kill never landed
   for (const Bench& b : benches) {
     for (const auto& [wire, wname] : wires) {
       EdenConfig cfg;
@@ -254,8 +258,9 @@ int main(int argc, char** argv) {
       row.sup_off = median(off_s);
 
       // 35% into the measured run, floored so the kill can't race the
-      // spawn grace; a rep whose kill still misses (the crashed run got
-      // faster) halves the offset and retries so crashed rows crash.
+      // spawn grace; a rep whose kill misses, or kills a PE that had
+      // already shipped all its work (no respawn), halves the offset and
+      // retries so crashed rows recover.
       const std::uint64_t derived = std::max<std::uint64_t>(
           1500, static_cast<std::uint64_t>(row.sup_on * 1e6 * 0.35));
       std::vector<std::uint64_t> offsets, det, replayed, replay_us, restarts;
@@ -263,7 +268,8 @@ int main(int argc, char** argv) {
         std::uint64_t off_us =
             crash_at > 0 ? static_cast<std::uint64_t>(crash_at) : derived;
         ChaosRun hit;
-        for (int attempt = 0; attempt < 4; ++attempt) {
+        bool landed = false;
+        for (int attempt = 0; attempt < 8; ++attempt) {
           FaultPlan crash;
           crash.crash_pe = b.crash_pe;
           crash.crash_at = off_us;
@@ -271,12 +277,13 @@ int main(int argc, char** argv) {
           cfg.fault = crash;
           hit = run_proc(prog, cfg, wire, b.setup);
           check_value(hit.value, b.expect, (b.name + " crashed").c_str());
-          if (hit.faults.crashes > 0 || crash_at > 0) break;
-          off_us = std::max<std::uint64_t>(500, off_us / 2);
+          landed = hit.faults.crashes > 0 && hit.faults.restarts > 0;
+          if (landed || crash_at > 0) break;
+          off_us = std::max<std::uint64_t>(250, off_us / 2);
         }
         crash_s.push_back(hit.seconds);
         offsets.push_back(off_us);
-        if (hit.faults.crashes > 0) {
+        if (landed) {
           row.crashed_reps++;
           det.push_back(hit.faults.detect_us);
           replayed.push_back(hit.faults.replayed);
@@ -291,11 +298,13 @@ int main(int argc, char** argv) {
       row.faults.replayed = median_u64(replayed);
       row.faults.replay_us = median_u64(replay_us);
       row.faults.restarts = median_u64(restarts);
-      if (row.crashed_reps < reps)
-        std::printf("  note: %s/%s — only %zu/%zu crash reps landed their "
-                    "kill (offset %llu us); medians cover the crashed reps\n",
-                    b.name.c_str(), wname.c_str(), row.crashed_reps, reps,
-                    static_cast<unsigned long long>(row.kill_offset_us));
+      if (row.crashed_reps < reps) {
+        missed = true;
+        std::fprintf(stderr, "FAIL: %s/%s — only %zu/%zu crash reps landed their "
+                     "kill (offset %llu us); medians cover the crashed reps\n",
+                     b.name.c_str(), wname.c_str(), row.crashed_reps, reps,
+                     static_cast<unsigned long long>(row.kill_offset_us));
+      }
 
       rows.push_back(row);
       std::printf("%-10s %-5s %12.6f %12.6f %12.6f %10llu %10llu %10llu\n",
@@ -311,5 +320,5 @@ int main(int argc, char** argv) {
               "one tiny frame per ~2ms per PE); a crashed run pays detection "
               "latency (~sub-ms via waitpid) plus recompute+replay, bounded "
               "by the work the dead PE held.\n");
-  return 0;
+  return missed ? 1 : 0;
 }

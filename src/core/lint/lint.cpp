@@ -463,12 +463,9 @@ LintReport lint_program(const Program& p, const LintOptions& opts) {
   return Linter(p, opts).run();
 }
 
-void lint_or_throw(const Program& p, const LintOptions& opts, const std::string& unit) {
-  LintReport r = lint_program(p, opts);
-  if (!r.clean()) {
-    std::string rendered = r.render(p, unit);
-    throw LintError(std::move(r), rendered);
-  }
+void lint_or_throw(const Program& p, const std::string& unit) {
+  const LintReport& r = p.lint_report();
+  if (!r.clean()) throw LintError(r, r.render(p, unit));
 }
 
 }  // namespace ph

@@ -105,16 +105,17 @@ struct LintReport {
 /// and never throws on malformed input.
 LintReport lint_program(const Program& p, const LintOptions& opts = {});
 
-/// Raised by lint_or_throw (the -DL load-time hook): carries the full
-/// report; what() is the rendered GCC-style listing.
+/// Raised by lint_or_throw (the -DL and --bytecode load-time hook):
+/// carries the full report; what() is the rendered GCC-style listing.
 struct LintError : ProgramError {
   LintError(LintReport r, const std::string& rendered)
       : ProgramError(rendered), report(std::move(r)) {}
   LintReport report;
 };
 
-/// Lints and throws LintError when the report is not clean.
-void lint_or_throw(const Program& p, const LintOptions& opts = {},
-                   const std::string& unit = "program");
+/// Throws LintError when the default-options report recorded on a
+/// validated Program (Program::lint_report) is not clean: the program is
+/// linted once, and every call throws the same listing.
+void lint_or_throw(const Program& p, const std::string& unit = "program");
 
 }  // namespace ph

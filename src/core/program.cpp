@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/lint/lint.hpp"
+
 namespace ph {
 
 const char* prim_op_name(PrimOp op) {
@@ -129,12 +131,73 @@ std::int32_t Program::check_expr(ExprId id, std::int32_t depth, const Global& g)
   return max_env;
 }
 
+namespace {
+void fnv(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+}
+
+void fnv_str(std::uint64_t& h, const std::string& s) {
+  fnv(h, s.size());
+  for (char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+}
+
+std::uint64_t structural_hash(const Program& p) {
+  std::uint64_t h = 14695981039346656037ull;
+  fnv(h, p.global_count());
+  for (GlobalId g = 0; g < static_cast<GlobalId>(p.global_count()); ++g) {
+    const Global& gl = p.global(g);
+    fnv_str(h, gl.name);
+    fnv(h, static_cast<std::uint64_t>(gl.arity));
+    fnv(h, static_cast<std::uint64_t>(gl.body));
+  }
+  fnv(h, p.expr_count());
+  for (ExprId e = 0; e < static_cast<ExprId>(p.expr_count()); ++e) {
+    const Expr& x = p.expr(e);
+    fnv(h, static_cast<std::uint64_t>(x.tag));
+    fnv(h, static_cast<std::uint64_t>(x.a));
+    fnv(h, static_cast<std::uint64_t>(x.lit));
+    fnv(h, x.kids.size());
+    for (ExprId k : x.kids) fnv(h, static_cast<std::uint64_t>(k));
+    fnv(h, x.alts.size());
+    for (const Alt& a : x.alts) {
+      fnv(h, static_cast<std::uint64_t>(a.tag));
+      fnv(h, static_cast<std::uint64_t>(a.arity));
+      fnv(h, static_cast<std::uint64_t>(a.body));
+    }
+    fnv(h, static_cast<std::uint64_t>(x.dflt));
+  }
+  return h;
+}
+}  // namespace
+
+struct Program::Facts {
+  std::uint64_t hash;
+  LintReport lint;
+};
+
 void Program::validate() {
   for (Global& g : globals_) {
     if (g.body == kNoExpr) throw ProgramError("undefined supercombinator: " + g.name);
     g.max_env = check_expr(g.body, g.arity, g);
   }
   validated_ = true;
+  facts_ = std::make_shared<const Facts>(Facts{structural_hash(*this), lint_program(*this)});
+}
+
+std::uint64_t Program::content_hash() const {
+  if (!facts_) throw ProgramError("content_hash of an unvalidated program");
+  return facts_->hash;
+}
+
+const LintReport& Program::lint_report() const {
+  if (!facts_) throw ProgramError("lint_report of an unvalidated program");
+  return facts_->lint;
 }
 
 namespace {

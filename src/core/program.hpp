@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -22,6 +23,8 @@ namespace ph {
 struct ProgramError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+struct LintReport;  // core/lint/lint.hpp
 
 class Program {
  public:
@@ -42,10 +45,22 @@ class Program {
 
   /// Checks well-formedness of every defined supercombinator: all bodies
   /// present, variables bound, Case alternatives sane, Prim arities exact.
-  /// Also computes Global::max_env. Must be called once after building and
-  /// before execution; throws ProgramError on the first violation.
+  /// Also computes Global::max_env, the content hash and the lint report.
+  /// Must be called once after building and before execution; throws
+  /// ProgramError on the first violation.
   void validate();
   bool validated() const { return validated_; }
+
+  /// Facts validate() computes once and the Program's copies share (a
+  /// validated Program cannot change: add_expr, declare and define throw).
+  /// Both throw ProgramError before validate().
+  ///
+  /// Structural FNV-1a over the globals and the expression table: the
+  /// bytecode cache's key. Any change to any supercombinator changes it.
+  std::uint64_t content_hash() const;
+  /// The Core Lint report under default options (the one every Machine's
+  /// load-time lint and the daemon's pre-fork lint read).
+  const LintReport& lint_report() const;
 
   /// Human-readable rendering of one supercombinator (for diagnostics).
   std::string show_global(GlobalId id) const;
@@ -58,6 +73,8 @@ class Program {
   std::vector<Global> globals_;
   std::unordered_map<std::string, GlobalId> by_name_;
   bool validated_ = false;
+  struct Facts;                         // program.cpp
+  std::shared_ptr<const Facts> facts_;  // made by validate()
 };
 
 }  // namespace ph

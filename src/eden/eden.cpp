@@ -311,6 +311,17 @@ void EdenSystem::rt_service_retries(std::uint32_t pi) {
   }
 }
 
+std::uint64_t EdenSystem::rt_idle_park_us(std::uint32_t pi, std::uint64_t cap_us) const {
+  std::uint64_t wait = std::min(cap_us, transport_->holdback_due_in_us(pi));
+  if (!reliable_) return wait;
+  const std::uint64_t now = rt_now();
+  const auto keep_all = [](const net::SentRecord&) { return false; };
+  for (std::uint64_t chid : rt_.at(pi)->produced)
+    if (auto at = channels_.at(chid).ep.next_retry_at(injector_.plan(), keep_all))
+      wait = std::min(wait, *at > now ? *at - now : 0);
+  return wait;
+}
+
 void EdenSystem::rt_restart_notify(std::uint32_t pi, std::uint32_t restarted,
                                    const std::vector<std::uint64_t>& epochs) {
   // 1. Epoch alignment: a channel's epoch tracks its *consumer's*

@@ -228,6 +228,9 @@ class EdenSystem {
   bool rt_drain(std::uint32_t pi);
   /// Retransmits overdue records on every channel PE `pi` produces.
   void rt_service_retries(std::uint32_t pi);
+  /// How long idle PE `pi` may park: until its next retransmission or
+  /// held-back delivery is due, at most `cap_us`.
+  std::uint64_t rt_idle_park_us(std::uint32_t pi, std::uint64_t cap_us) const;
   /// Microseconds since the driver epoch — the real-time "now" (1 virtual
   /// cycle of the fault plan's retry/delay units = 1µs of wall clock).
   std::uint64_t rt_now() const {

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 namespace ph {
 namespace {
 
-constexpr std::uint64_t kTickUs = 500;             // supervisor loop period
+constexpr std::uint64_t kTickUs = 500;             // supervisor park timeout
+constexpr std::uint64_t kIdleParkCapUs = 1000;     // a child's longest idle park
 constexpr std::uint64_t kQuietWindowUs = 1000000;  // all-idle window → deadlock
 constexpr std::uint64_t kShutdownGraceUs = 1000000;
 
@@ -144,8 +144,15 @@ EdenRtResult EdenProcDriver::run(Tso* root) {
       // Graceful external stop (another thread, or a signal handler):
       // fall through to the farewell with the workers mid-computation —
       // they get Shutdown, ship Stats and _Exit(0).
-      if (shutdown_requested_.load(std::memory_order_acquire)) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(kTickUs));
+      auto stop = [this] { return shutdown_requested_.load(std::memory_order_acquire); };
+      if (stop()) break;
+      // Woken by any worker frame but a heartbeat (Done ends the run at
+      // once) and by request_shutdown(); otherwise one tick per kTickUs,
+      // or sooner when a respawn or the plan's kill is due.
+      const std::uint64_t t = sup_.now_us();
+      const std::uint64_t due = sup_.next_due_us();
+      sup_.doorbell().park([&] { return sup_.tick_ready() || stop(); },
+                           std::chrono::microseconds(std::min(kTickUs, due > t ? due - t : 0)));
       sup_.tick();
       if (finished_) break;
 
@@ -266,7 +273,6 @@ void EdenProcDriver::worker_main(net::Supervisor::Worker& w) {
   // the supervisor says Shutdown (or is gone). A self-exiting worker
   // would be indistinguishable from a crash.
   Quantum q;
-  std::uint32_t idle_spins = 0;
   auto collect = [&](bool major) {
     m.collect(major);
     gc_count++;
@@ -279,24 +285,14 @@ void EdenProcDriver::worker_main(net::Supervisor::Worker& w) {
     if (m.heap().gc_requested()) collect(false);
 
     if (q.active == nullptr) {
-      Tso* t = m.schedule_next(c);
-      if (t != nullptr && t->start_time > sys_.rt_now()) {
-        c.push_thread(t);
-        idle_now = true;
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        continue;
-      }
+      Tso* t = m.schedule_next(c);  // start_time: EdenSimDriver's alone
       if (t == nullptr) {
         sys_.rt_service_retries(pi);
         idle_now = true;
-        if (++idle_spins < 64)
-          std::this_thread::yield();
-        else
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        w.park(sys_.rt_idle_park_us(pi, kIdleParkCapUs));
         continue;
       }
       idle_now = false;
-      idle_spins = 0;
       t->state = ThreadState::Running;
       q.active = t;
     }

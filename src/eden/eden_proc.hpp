@@ -67,13 +67,15 @@ class EdenProcDriver : private net::Supervisor::Driver {
   /// forked from this image, and every respawn re-forks it.
   EdenRtResult run(Tso* root);
 
-  /// Cross-thread graceful stop. The supervisor loop notices the flag on
-  /// its next tick — even mid-computation — sends Shutdown to every live
-  /// worker, reaps them all (bounded grace, then SIGKILL stragglers) and
-  /// run() returns with whatever result was in hand. One atomic store:
-  /// safe from another thread or a signal handler.
+  /// Cross-thread graceful stop. The call rings the supervisor's doorbell,
+  /// so its loop notices at once — even mid-computation — sends Shutdown
+  /// to every live worker, reaps them all (bounded grace, then SIGKILL
+  /// stragglers) and run() returns with whatever result was in hand. An
+  /// atomic store and a ring: safe from another thread or a signal
+  /// handler.
   void request_shutdown() {
     shutdown_requested_.store(true, std::memory_order_release);
+    sup_.doorbell().ring();
   }
 
   /// Every worker pid this driver ever forked, including replaced

@@ -7,7 +7,15 @@
 namespace ph {
 
 namespace {
+/// Quiescence: five consecutive timed-out supervisor parks of 1 ms, each
+/// finding the system quiet, arm the freeze.
 constexpr std::uint32_t kDeadlockStrikes = 5;
+constexpr std::chrono::milliseconds kQuietPark{1};
+/// How long the supervisor waits for every PE to park for a freeze.
+constexpr std::chrono::milliseconds kFreezeWait{200};
+/// The longest an idle or frozen PE parks without a ring: a safety net,
+/// since arrivals, freeze releases and the end of the run all ring.
+constexpr std::uint64_t kIdleParkCapUs = 1000;
 }  // namespace
 
 EdenThreadedDriver::EdenThreadedDriver(EdenSystem& sys, TraceLog* trace)
@@ -33,6 +41,10 @@ EdenThreadedDriver::EdenThreadedDriver(EdenSystem& sys,
 }
 
 EdenThreadedDriver::~EdenThreadedDriver() = default;
+
+void EdenThreadedDriver::ring_pes() {
+  for (std::uint32_t i = 0; i < sys_.n_pes(); ++i) transport_->doorbell(i).ring();
+}
 
 bool EdenThreadedDriver::quiescent() const {
   // Every check can only err toward "busy" (the worker threads keep
@@ -72,13 +84,15 @@ EdenRtResult EdenThreadedDriver::run(Tso* root) {
     for (std::uint32_t i = 0; i < n; ++i)
       workers.emplace_back([this, i, root] { pe_worker(i, root); });
 
-    // Quiescence supervisor. Five quiet 1ms checks arm the freeze; the
-    // verdict is only delivered after every PE thread has parked and the
-    // conditions re-verify against the now-immobile system.
+    // Quiescence supervisor. Five quiet timed-out parks arm the freeze;
+    // the verdict is only delivered after every PE thread has parked and
+    // the conditions re-verify against the now-immobile system. The root
+    // finishing rings, so run() returns at once.
     std::uint32_t strikes = 0;
     std::uint64_t last_progress = progress_.load(std::memory_order_relaxed);
-    while (!done_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    auto finished = [this] { return done_.load(std::memory_order_acquire); };
+    while (!finished()) {
+      if (sup_bell_.park(finished, kQuietPark) != Park::TimedOut) continue;
       const std::uint64_t p = progress_.load(std::memory_order_relaxed);
       if (p != last_progress || !quiescent()) {
         last_progress = p;
@@ -88,17 +102,19 @@ EdenRtResult EdenThreadedDriver::run(Tso* root) {
       if (++strikes < kDeadlockStrikes) continue;
       strikes = 0;
       freeze_.store(true, std::memory_order_release);
-      // Workers park at their loop top; one stuck mid-quantum (e.g. in a
-      // backpressured send whose consumer just froze) aborts the freeze.
-      bool all_parked = true;
-      for (std::uint32_t spins = 0;
-           frozen_.load(std::memory_order_acquire) != n; ++spins) {
-        if (done_.load(std::memory_order_acquire) || spins > 2000) {
-          all_parked = false;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      ring_pes();
+      // Workers park at their loop top, each ringing as it arrives; one
+      // stuck mid-quantum (e.g. in a backpressured send whose consumer
+      // just froze) aborts the freeze.
+      auto all_frozen = [&] { return frozen_.load(std::memory_order_acquire) == n; };
+      const auto give_up = std::chrono::steady_clock::now() + kFreezeWait;
+      while (!all_frozen() && !finished()) {
+        const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+            give_up - std::chrono::steady_clock::now());
+        if (left <= std::chrono::microseconds::zero()) break;
+        sup_bell_.park([&] { return all_frozen() || finished(); }, left);
       }
+      const bool all_parked = all_frozen() && !finished();
       if (all_parked && !done_.load(std::memory_order_acquire) &&
           progress_.load(std::memory_order_relaxed) == p && quiescent()) {
         // Genuine distributed deadlock: nothing can ever wake a blocked
@@ -116,6 +132,7 @@ EdenRtResult EdenThreadedDriver::run(Tso* root) {
         done_.store(true, std::memory_order_release);
       }
       freeze_.store(false, std::memory_order_release);
+      ring_pes();
     }
     // Unblock any sender parked on transport backpressure so every worker
     // can reach its loop top and observe done_.
@@ -154,7 +171,9 @@ void EdenThreadedDriver::pe_worker(std::uint32_t pi, Tso* root) {
   Machine& m = sys_.pe(pi);
   Capability& c = m.cap(0);
   Quantum q;
-  std::uint32_t idle_spins = 0;
+  // This PE's doorbell: every arrival for it, freeze releases and the end
+  // of the run ring it.
+  Parker& bell = transport_->doorbell(pi);
 
   auto now_us = [this] { return sys_.rt_now(); };
   auto collect = [&](bool major) {
@@ -171,9 +190,12 @@ void EdenThreadedDriver::pe_worker(std::uint32_t pi, Tso* root) {
       // Park with the machine untouched: the supervisor is re-verifying
       // quiescence and may walk this PE's TSO stacks for the diagnosis.
       frozen_.fetch_add(1, std::memory_order_acq_rel);
-      while (freeze_.load(std::memory_order_acquire) &&
-             !done_.load(std::memory_order_acquire))
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      sup_bell_.ring();
+      auto released = [this] {
+        return !freeze_.load(std::memory_order_acquire) ||
+               done_.load(std::memory_order_acquire);
+      };
+      while (!released()) bell.park(released, std::chrono::microseconds(kIdleParkCapUs));
       frozen_.fetch_sub(1, std::memory_order_acq_rel);
       continue;
     }
@@ -184,35 +206,28 @@ void EdenThreadedDriver::pe_worker(std::uint32_t pi, Tso* root) {
     if (m.heap().gc_requested()) collect(false);
 
     if (q.active == nullptr) {
+      // A process's start_time (the simulator's instantiation delay) is
+      // not waited out here: only EdenSimDriver charges it.
       Tso* t = m.schedule_next(c);
-      if (t != nullptr && t->start_time > now_us()) {
-        // Process-instantiation latency (1 virtual cycle = 1µs): the
-        // thread exists but has not been born yet. Requeue and wait.
-        c.push_thread(t);
-        idle_[pi].store(true, std::memory_order_release);
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        continue;
-      }
       if (t == nullptr) {
-        // Idle: retransmit overdue sends, then back off — yields first,
-        // real sleeps once the inbox has stayed empty a while.
+        // Idle: retransmit overdue sends, then park until something
+        // arrives or the next retransmission or held-back delivery is due.
         sys_.rt_service_retries(pi);
         idle_[pi].store(true, std::memory_order_release);
-        if (++idle_spins < 64) {
-          std::this_thread::yield();
-        } else {
-          const std::uint64_t i0 = now_us();
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          if (trace_ != nullptr)
-            trace_->record(pi, i0, now_us(),
-                           c.n_blocked.load(std::memory_order_relaxed) > 0
-                               ? CapState::Blocked
-                               : CapState::Idle);
-        }
+        const std::uint64_t i0 = now_us();
+        const Park p = bell.park(
+            [&] {
+              return transport_->pending(pi) || freeze_.load(std::memory_order_acquire) ||
+                     done_.load(std::memory_order_acquire);
+            },
+            std::chrono::microseconds(sys_.rt_idle_park_us(pi, kIdleParkCapUs)));
+        if (trace_ != nullptr && p != Park::Ready)
+          trace_->record(pi, i0, now_us(),
+                         c.n_blocked.load(std::memory_order_relaxed) > 0 ? CapState::Blocked
+                                                                         : CapState::Idle);
         continue;
       }
       idle_[pi].store(false, std::memory_order_release);
-      idle_spins = 0;
       t->state = ThreadState::Running;
       q.active = t;
     }
@@ -241,6 +256,8 @@ void EdenThreadedDriver::pe_worker(std::uint32_t pi, Tso* root) {
     if (end == QuantumEnd::Killed) heap_overflows_.fetch_add(1, std::memory_order_relaxed);
     if (end == QuantumEnd::RootDone || (end == QuantumEnd::Killed && t == root)) {
       done_.store(true, std::memory_order_release);
+      sup_bell_.ring();
+      ring_pes();
       return;
     }
   }

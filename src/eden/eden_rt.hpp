@@ -19,12 +19,19 @@
 // delivery boundary from the same counter-based hashes the simulator
 // uses.
 //
+// Idle PEs park on their transport endpoint's doorbell (DESIGN.md §18):
+// an arrival, a freeze release or the end of the run rings it, and the
+// park times out when the PE's next retransmission or held-back delivery
+// is due. A process's start_time is not waited out here (only the
+// simulator charges instantiation latency).
+//
 // Quiescence: a supervisor (the caller's thread) watches a progress
 // counter, the per-PE idle flags, the transport's in-flight accounting
-// and the unacked-send counts. Five quiet 1ms checks freeze the PE
-// threads, the conditions are re-verified under the freeze, and only
+// and the unacked-send counts. Five quiet timed-out 1ms parks freeze the
+// PE threads, the conditions are re-verified under the freeze, and only
 // then is the blocked-thread analysis run — so a genuine distributed
-// deadlock gets the same precise diagnosis the sim produces.
+// deadlock gets the same precise diagnosis the sim produces. The root
+// finishing rings the supervisor, so run() returns at once.
 #pragma once
 
 #include <atomic>
@@ -33,6 +40,7 @@
 
 #include "eden/eden.hpp"
 #include "net/transport.hpp"
+#include "rts/parker.hpp"
 
 namespace ph {
 
@@ -69,6 +77,8 @@ class EdenThreadedDriver {
  private:
   void pe_worker(std::uint32_t pi, Tso* root);
   bool quiescent() const;
+  /// Rings every PE's doorbell (freeze, freeze release, end of run).
+  void ring_pes();
 
   EdenSystem& sys_;
   std::unique_ptr<net::Transport> transport_;
@@ -83,6 +93,7 @@ class EdenThreadedDriver {
   std::unique_ptr<std::atomic<bool>[]> idle_;
   DeadlockDiagnosis diagnosis_;  // written under the freeze only
   bool deadlocked_ = false;
+  Parker sup_bell_;  // the supervisor's: rung by done_ and by each freezing PE
 };
 
 }  // namespace ph

@@ -42,7 +42,7 @@ class Compiler {
       : p_(p), cg_(p), demand_(analyze_demand(p, cg_)) {
     blob_ = std::make_shared<CodeBlob>();
     blob_->entries.assign(p.expr_count(), kNoEntry);
-    blob_->prog_hash = program_hash(p);
+    blob_->prog_hash = p.content_hash();
   }
 
   std::shared_ptr<const CodeBlob> run() {
@@ -427,21 +427,6 @@ std::uint64_t get64(const std::uint8_t* p) {
          (static_cast<std::uint64_t>(get32(p + 4)) << 32);
 }
 
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-}
-
-void fnv_str(std::uint64_t& h, const std::string& s) {
-  fnv(h, s.size());
-  for (char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-}
-
 /// Number of operand words following an opcode (variable-length ops
 /// return their fixed prefix; the verifier handles their tails).
 int fixed_operands(Op o) {
@@ -488,34 +473,6 @@ const char* cache_defect_name(CacheDefect d) {
     case CacheDefect::Io: return "io";
   }
   return "unknown";
-}
-
-std::uint64_t program_hash(const Program& p) {
-  std::uint64_t h = 14695981039346656037ull;
-  fnv(h, p.global_count());
-  for (GlobalId g = 0; g < static_cast<GlobalId>(p.global_count()); ++g) {
-    const Global& gl = p.global(g);
-    fnv_str(h, gl.name);
-    fnv(h, static_cast<std::uint64_t>(gl.arity));
-    fnv(h, static_cast<std::uint64_t>(gl.body));
-  }
-  fnv(h, p.expr_count());
-  for (ExprId e = 0; e < static_cast<ExprId>(p.expr_count()); ++e) {
-    const Expr& x = p.expr(e);
-    fnv(h, static_cast<std::uint64_t>(x.tag));
-    fnv(h, static_cast<std::uint64_t>(x.a));
-    fnv(h, static_cast<std::uint64_t>(x.lit));
-    fnv(h, x.kids.size());
-    for (ExprId k : x.kids) fnv(h, static_cast<std::uint64_t>(k));
-    fnv(h, x.alts.size());
-    for (const Alt& a : x.alts) {
-      fnv(h, static_cast<std::uint64_t>(a.tag));
-      fnv(h, static_cast<std::uint64_t>(a.arity));
-      fnv(h, static_cast<std::uint64_t>(a.body));
-    }
-    fnv(h, static_cast<std::uint64_t>(x.dflt));
-  }
-  return h;
 }
 
 std::shared_ptr<const CodeBlob> compile_program(const Program& p) {
@@ -716,7 +673,7 @@ void save_blob_file(const std::string& path, const CodeBlob& b) {
 
 std::shared_ptr<const CodeBlob> BytecodeCache::get_or_compile(
     const Program& p, const std::string& path) {
-  const std::uint64_t h = program_hash(p);
+  const std::uint64_t h = p.content_hash();  // recorded once per Program
   std::lock_guard<std::mutex> lk(mu_);
   auto it = blobs_.find(h);
   if (it != blobs_.end()) return it->second;

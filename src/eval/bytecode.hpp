@@ -118,10 +118,6 @@ struct CacheError : std::runtime_error {
 constexpr char kCacheMagic[4] = {'P', 'H', 'B', 'C'};
 constexpr std::uint32_t kCacheVersion = 1;
 
-/// Structural FNV-1a over the whole Program (globals and expression
-/// tables). Any change to any supercombinator changes the hash.
-std::uint64_t program_hash(const Program& p);
-
 /// Compiles a validated Program. Runs the demand analysis internally for
 /// the call-by-value argument masks.
 std::shared_ptr<const CodeBlob> compile_program(const Program& p);

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -12,9 +13,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 namespace ph::net {
 namespace {
@@ -39,13 +40,18 @@ std::size_t round_pow2(std::size_t n) {
   return p;
 }
 
-// Segment layout: a control block, then one ring per directed endpoint
+// Segment layout: a control block, two doorbells per endpoint (arrivals,
+// then ring space), then on the Shm wire one ring per directed endpoint
 // pair. Head and tail cursors live on their own cache lines *inside* the
 // segment so they survive the death of either side.
 constexpr std::size_t kCtrlBytes = 64;
 constexpr std::size_t kRingHdrBytes = 128;
 constexpr std::size_t kHeadOff = 0;
 constexpr std::size_t kTailOff = 64;
+
+/// A backpressured producer's park timeout: it heartbeats between parks,
+/// and the consumer's drain rings it as soon as space frees.
+constexpr std::chrono::milliseconds kBackpressurePark{1};
 
 }  // namespace
 
@@ -61,37 +67,45 @@ ProcTransport::ProcTransport(std::uint32_t n_pes, const FaultInjector* injector,
     rx->readers.resize(n_endpoints_);
     erx_.push_back(std::move(rx));
   }
-  if (wire_ == ProcWire::Shm) {
-    ring_bytes_ = round_pow2(ring_bytes);
-    shm_size_ = kCtrlBytes + static_cast<std::size_t>(n_endpoints_) * n_endpoints_ *
-                                 (kRingHdrBytes + ring_bytes_);
-    // A named segment, unlinked the moment it is mapped: the mapping (and
-    // its fork-inherited references in the children) keeps it alive, the
-    // name cannot leak even if the whole process tree is SIGKILLed.
-    static std::atomic<std::uint64_t> seq{0};
-    const std::string name = "/parhask-proc-" + std::to_string(getpid()) + "-" +
-                             std::to_string(seq.fetch_add(1));
-    int fd = shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-    if (fd >= 0) {
-      shm_unlink(name.c_str());
-      if (ftruncate(fd, static_cast<off_t>(shm_size_)) < 0) {
-        close(fd);
-        die("ftruncate");
-      }
-      void* p = mmap(nullptr, shm_size_, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  if (wire_ == ProcWire::Shm) ring_bytes_ = round_pow2(ring_bytes);
+  shm_size_ = kCtrlBytes + 2 * n_endpoints_ * sizeof(ParkerWords);
+  if (wire_ == ProcWire::Shm)
+    shm_size_ += static_cast<std::size_t>(n_endpoints_) * n_endpoints_ *
+                 (kRingHdrBytes + ring_bytes_);
+  // A named segment, unlinked the moment it is mapped: the mapping (and
+  // its fork-inherited references in the children) keeps it alive, the
+  // name cannot leak even if the whole process tree is SIGKILLed.
+  static std::atomic<std::uint64_t> seq{0};
+  const std::string name = "/parhask-proc-" + std::to_string(getpid()) + "-" +
+                           std::to_string(seq.fetch_add(1));
+  int fd = shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+  if (fd >= 0) {
+    shm_unlink(name.c_str());
+    if (ftruncate(fd, static_cast<off_t>(shm_size_)) < 0) {
       close(fd);
-      if (p == MAP_FAILED) die("mmap(shm)");
-      shm_ = static_cast<std::uint8_t*>(p);
-    } else {
-      // No POSIX shm (e.g. /dev/shm not mounted): an anonymous shared
-      // mapping is inherited across fork() just the same.
-      void* p = mmap(nullptr, shm_size_, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-      if (p == MAP_FAILED) die("mmap(anonymous shared)");
-      shm_ = static_cast<std::uint8_t*>(p);
+      die("ftruncate");
     }
-    std::memset(shm_, 0, kCtrlBytes);  // ftruncate zeroes; anonymous maps too
+    void* p = mmap(nullptr, shm_size_, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    close(fd);
+    if (p == MAP_FAILED) die("mmap(shm)");
+    shm_ = static_cast<std::uint8_t*>(p);
   } else {
+    // No POSIX shm (e.g. /dev/shm not mounted): an anonymous shared
+    // mapping is inherited across fork() just the same.
+    void* p = mmap(nullptr, shm_size_, PROT_READ | PROT_WRITE,
+                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) die("mmap(anonymous shared)");
+    shm_ = static_cast<std::uint8_t*>(p);
+  }
+  std::memset(shm_, 0, kCtrlBytes);  // ftruncate zeroes; anonymous maps too
+  auto* words = reinterpret_cast<ParkerWords*>(shm_ + kCtrlBytes);
+  space_.reserve(n_endpoints_);
+  for (std::uint32_t i = 0; i < n_endpoints_; ++i) {
+    bells_[i] = std::make_unique<Parker>(new (&words[i]) ParkerWords(),
+                                         /*pollable=*/i == worker_pes_);
+    space_.push_back(std::make_unique<Parker>(new (&words[n_endpoints_ + i]) ParkerWords()));
+  }
+  if (wire_ == ProcWire::Tcp) {
     // Tcp wire: the full localhost mesh is connected here, before any
     // fork, so every child inherits established sockets. The parent and
     // all siblings keep both ends of each connection open, which is what
@@ -147,32 +161,35 @@ std::atomic<std::uint32_t>* ProcTransport::shm_shutdown() const {
   return reinterpret_cast<std::atomic<std::uint32_t>*>(shm_);
 }
 
+std::uint8_t* ProcTransport::ring_base(std::uint32_t src, std::uint32_t dst) const {
+  return shm_ + kCtrlBytes + 2 * n_endpoints_ * sizeof(ParkerWords) +
+         (static_cast<std::size_t>(src) * n_endpoints_ + dst) * (kRingHdrBytes + ring_bytes_);
+}
+
 std::atomic<std::uint64_t>* ProcTransport::ring_head(std::uint32_t src,
                                                      std::uint32_t dst) const {
-  std::uint8_t* base = shm_ + kCtrlBytes +
-                       (static_cast<std::size_t>(src) * n_endpoints_ + dst) *
-                           (kRingHdrBytes + ring_bytes_);
-  return reinterpret_cast<std::atomic<std::uint64_t>*>(base + kHeadOff);
+  return reinterpret_cast<std::atomic<std::uint64_t>*>(ring_base(src, dst) + kHeadOff);
 }
 
 std::atomic<std::uint64_t>* ProcTransport::ring_tail(std::uint32_t src,
                                                      std::uint32_t dst) const {
-  std::uint8_t* base = shm_ + kCtrlBytes +
-                       (static_cast<std::size_t>(src) * n_endpoints_ + dst) *
-                           (kRingHdrBytes + ring_bytes_);
-  return reinterpret_cast<std::atomic<std::uint64_t>*>(base + kTailOff);
+  return reinterpret_cast<std::atomic<std::uint64_t>*>(ring_base(src, dst) + kTailOff);
 }
 
 std::uint8_t* ProcTransport::ring_data(std::uint32_t src, std::uint32_t dst) const {
-  return shm_ + kCtrlBytes +
-         (static_cast<std::size_t>(src) * n_endpoints_ + dst) *
-             (kRingHdrBytes + ring_bytes_) +
-         kRingHdrBytes;
+  return ring_base(src, dst) + kRingHdrBytes;
 }
 
 void ProcTransport::stop() {
   stopping_.store(true, std::memory_order_release);
   if (shm_ != nullptr) shm_shutdown()->store(1, std::memory_order_release);
+  for (auto& s : space_) s->ring();
+  ring_all();
+}
+
+void ProcTransport::reset_doorbells(std::uint32_t pe) {
+  bells_.at(pe)->reset();
+  space_.at(pe)->reset();
 }
 
 void ProcTransport::account_lost() {
@@ -191,20 +208,19 @@ bool ProcTransport::push_ring(std::uint32_t src, std::uint32_t dst,
   std::atomic<std::uint64_t>* tl = ring_tail(src, dst);
   // Sole producer for this ring: nobody else moves the head.
   const std::uint64_t head = hd->load(std::memory_order_relaxed);
-  std::uint64_t spins = 0;
-  for (;;) {
-    const std::uint64_t tail = tl->load(std::memory_order_acquire);
-    if (ring_bytes_ - static_cast<std::size_t>(head - tail) >= n) break;
-    if (stopping_.load(std::memory_order_acquire) ||
-        shm_shutdown()->load(std::memory_order_acquire) != 0)
-      return false;
+  auto fits = [&] {
+    return ring_bytes_ - static_cast<std::size_t>(head - tl->load(std::memory_order_acquire)) >= n;
+  };
+  auto stopped = [&] {
+    return stopping_.load(std::memory_order_acquire) ||
+           shm_shutdown()->load(std::memory_order_acquire) != 0;
+  };
+  while (!fits()) {
+    if (stopped()) return false;
     // The consumer may be dead and awaiting respawn: keep heartbeating so
     // the supervisor doesn't book this (merely blocked) PE as a casualty.
     if (on_backpressure_) on_backpressure_();
-    if (++spins < 256)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    space_[src]->park([&] { return fits() || stopped(); }, kBackpressurePark);
   }
   std::uint8_t* base = ring_data(src, dst);
   const std::size_t off = static_cast<std::size_t>(head) & (ring_bytes_ - 1);
@@ -222,8 +238,13 @@ void ProcTransport::send_raw(std::uint32_t dst, const DataMsg& m) {
   if (src >= n_endpoints_ || dst >= n_endpoints_)
     throw std::runtime_error("ProcTransport: endpoint out of range");
   const std::vector<std::uint8_t> frame = encode_frame(m);
+  // Heartbeats need not wake the supervisor: its timed park covers them.
+  const bool ring = m.kind != MsgKind::Heartbeat;
   if (wire_ == ProcWire::Shm) {
-    if (!push_ring(src, dst, frame.data(), frame.size())) account_lost();
+    if (!push_ring(src, dst, frame.data(), frame.size()))
+      account_lost();
+    else if (ring)
+      bells_[dst]->ring();
     return;
   }
   if (dst == src) {
@@ -242,6 +263,10 @@ void ProcTransport::send_raw(std::uint32_t dst, const DataMsg& m) {
   TcpPeer& peer = tcp_.at(src).at(dst);
   peer.out_buf.insert(peer.out_buf.end(), frame.begin(), frame.end());
   tcp_flush(peer);
+  // Loopback TCP queues the bytes at the receiver inside write(), so they
+  // are readable when this rings; a ring that beats its bytes costs the
+  // receiver one park timeout.
+  if (ring) bells_[dst]->ring();
 }
 
 void ProcTransport::tcp_flush(TcpPeer& peer) {
@@ -303,6 +328,7 @@ void ProcTransport::drain_rings(std::uint32_t pe, EndpointRx& rx) {
     // Frames are booked in the inbox before the tail advance makes the
     // ring look empty — idle() reads rings first, then inboxes.
     tl->store(head, std::memory_order_release);
+    space_[src]->ring();
   }
 }
 
@@ -339,6 +365,24 @@ std::optional<DataMsg> ProcTransport::poll_raw(std::uint32_t pe) {
   rx.inbox.pop_front();
   rx.inbox_pending.fetch_sub(1, std::memory_order_acq_rel);
   return m;
+}
+
+bool ProcTransport::pending_raw(std::uint32_t pe) {
+  if (!erx_.at(pe)->inbox.empty()) return true;
+  if (wire_ == ProcWire::Shm) {
+    for (std::uint32_t src = 0; src < n_endpoints_; ++src)
+      if (ring_head(src, pe)->load(std::memory_order_acquire) !=
+          ring_tail(src, pe)->load(std::memory_order_relaxed))
+        return true;
+    return false;
+  }
+  // Tcp wire: a zero-timeout poll() of this endpoint's sockets. The
+  // syscall orders it after the announce of a park, as the ring's fence
+  // orders a sender's write() before its doorbell load.
+  std::vector<pollfd> fds;
+  for (const TcpPeer& peer : tcp_.at(pe))
+    if (peer.fd >= 0) fds.push_back({peer.fd, POLLIN, 0});
+  return !fds.empty() && ::poll(fds.data(), fds.size(), 0) > 0;
 }
 
 bool ProcTransport::idle() const {

@@ -30,6 +30,15 @@
 // Endpoint n_pes is the supervisor's: heartbeats and control frames run
 // over the same wire as data, so "the transport still works" is exactly
 // what liveness reporting certifies.
+//
+// Doorbells (DESIGN.md §18): on both wires a shared segment also holds two
+// doorbells per endpoint, one rung by every frame sent to it (heartbeats
+// excepted: the supervisor's timed park covers them) and one rung when its
+// consumer frees space in a ring the endpoint produces into. Each has one
+// consumer, the endpoint's process, which resets both when it starts, so
+// a predecessor killed while parked leaves no stale mark. The supervisor
+// endpoint's arrival doorbell is pollable: the daemon adds its eventfd to
+// its poll() set.
 #pragma once
 
 #include <atomic>
@@ -67,6 +76,10 @@ class ProcTransport : public Transport {
 
   std::uint32_t supervisor_endpoint() const { return worker_pes_; }
 
+  /// A fresh consumer of endpoint `pe` (a forked or respawned worker)
+  /// clears the parked marks its predecessor may have left.
+  void reset_doorbells(std::uint32_t pe);
+
   /// Marks the transport as spanning processes: per-process in-flight
   /// accounting is abandoned (idle() falls back to ring/inbox emptiness)
   /// and frames lost at teardown stop adjusting the counter.
@@ -87,6 +100,7 @@ class ProcTransport : public Transport {
  protected:
   void send_raw(std::uint32_t dst, const DataMsg& m) override;
   std::optional<DataMsg> poll_raw(std::uint32_t pe) override;
+  bool pending_raw(std::uint32_t pe) override;
 
  private:
   /// Per-endpoint, process-local reassembly state (each process only ever
@@ -104,6 +118,7 @@ class ProcTransport : public Transport {
     std::size_t out_pos = 0;
   };
 
+  std::uint8_t* ring_base(std::uint32_t src, std::uint32_t dst) const;
   std::atomic<std::uint64_t>* ring_head(std::uint32_t src, std::uint32_t dst) const;
   std::atomic<std::uint64_t>* ring_tail(std::uint32_t src, std::uint32_t dst) const;
   std::uint8_t* ring_data(std::uint32_t src, std::uint32_t dst) const;
@@ -122,6 +137,7 @@ class ProcTransport : public Transport {
   std::size_t ring_bytes_ = 0;   // power of two (Shm wire)
   std::uint8_t* shm_ = nullptr;  // MAP_SHARED segment; survives fork
   std::size_t shm_size_ = 0;
+  std::vector<std::unique_ptr<Parker>> space_;  // [endpoint]: ring space freed
   std::vector<std::unique_ptr<EndpointRx>> erx_;
   std::vector<std::vector<TcpPeer>> tcp_;  // [endpoint][peer]
   bool cross_process_ = false;

@@ -1,7 +1,5 @@
 #include "net/shm.hpp"
 
-#include <thread>
-
 namespace ph::net {
 
 namespace {
@@ -10,6 +8,10 @@ std::size_t round_pow2(std::size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
+
+/// A backpressured sender's park timeout: a safety net only, since every
+/// pop rings the space doorbell.
+constexpr std::chrono::milliseconds kBackpressurePark{1};
 }  // namespace
 
 MailboxRing::MailboxRing(std::size_t capacity_pow2) {
@@ -57,38 +59,60 @@ bool MailboxRing::try_pop(DataMsg& out) {
   return true;
 }
 
+bool MailboxRing::readable() const {
+  const std::size_t pos = tail_.load(std::memory_order_relaxed);
+  const std::size_t seq = cells_[pos & mask_].seq.load(std::memory_order_acquire);
+  return static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1) >= 0;
+}
+
+bool MailboxRing::writable() const {
+  const std::size_t pos = head_.load(std::memory_order_relaxed);
+  const std::size_t seq = cells_[pos & mask_].seq.load(std::memory_order_acquire);
+  return static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos) >= 0;
+}
+
 ShmTransport::ShmTransport(std::uint32_t n_pes, const FaultInjector* injector,
                            std::size_t capacity)
     : Transport(n_pes, injector) {
   mailboxes_.reserve(n_pes);
-  for (std::uint32_t i = 0; i < n_pes; ++i)
+  space_.reserve(n_pes);
+  for (std::uint32_t i = 0; i < n_pes; ++i) {
     mailboxes_.push_back(std::make_unique<MailboxRing>(capacity));
+    space_.push_back(std::make_unique<Parker>());
+  }
+}
+
+void ShmTransport::stop() {
+  stopping_.store(true, std::memory_order_release);
+  for (auto& s : space_) s->ring();
+  ring_all();
 }
 
 void ShmTransport::send_raw(std::uint32_t dst, const DataMsg& m) {
   MailboxRing& box = *mailboxes_.at(dst);
   DataMsg copy = m;
-  std::uint32_t spins = 0;
   while (!box.try_push(std::move(copy))) {
-    // Backpressure: the mailbox is full, wait for the consumer. A stopped
-    // transport drops the message instead of spinning forever (the run is
-    // over; nobody will drain the ring again).
+    // Backpressure: the mailbox is full, park until the consumer pops. A
+    // stopped transport drops the message instead of waiting forever (the
+    // run is over; nobody will drain the ring again).
     if (stopping_.load(std::memory_order_acquire)) {
       note_lost();
       return;
     }
-    if (++spins < 64) std::this_thread::yield();
-    else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      spins = 0;
-    }
+    space_[dst]->park(
+        [&] { return box.writable() || stopping_.load(std::memory_order_acquire); },
+        kBackpressurePark);
   }
+  doorbell(dst).ring();
 }
 
 std::optional<DataMsg> ShmTransport::poll_raw(std::uint32_t pe) {
   DataMsg m;
-  if (mailboxes_.at(pe)->try_pop(m)) return m;
-  return std::nullopt;
+  if (!mailboxes_.at(pe)->try_pop(m)) return std::nullopt;
+  space_[pe]->ring();
+  return m;
 }
+
+bool ShmTransport::pending_raw(std::uint32_t pe) { return mailboxes_.at(pe)->readable(); }
 
 }  // namespace ph::net

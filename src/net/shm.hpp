@@ -1,9 +1,9 @@
 // ShmTransport: the multicore shared-memory middleware. One bounded
 // lock-free mailbox per PE (a Vyukov MPMC ring used MPSC: any PE thread
 // enqueues, only the owner dequeues); a full mailbox back-pressures the
-// sender, which spins/yields until the consumer drains — the bounded
-// buffering of a PVM-on-shared-memory link without its copies or
-// syscalls. Per-producer FIFO holds because each producer's enqueue
+// sender, which parks until the consumer's next pop rings the mailbox's
+// space doorbell — the bounded buffering of a PVM-on-shared-memory link
+// without its copies. Per-producer FIFO holds because each producer's enqueue
 // tickets are claimed in program order and the single consumer pops in
 // ticket order.
 #pragma once
@@ -26,6 +26,10 @@ class MailboxRing {
   bool try_push(DataMsg&& m);
   /// False when the ring is empty. Single consumer.
   bool try_pop(DataMsg& out);
+  /// The consumer's next try_pop would succeed. Single consumer.
+  bool readable() const;
+  /// A try_push would find a free cell (backpressure re-check).
+  bool writable() const;
 
   std::size_t capacity() const { return mask_ + 1; }
 
@@ -47,14 +51,17 @@ class ShmTransport : public Transport {
                         std::size_t capacity = 1024);
 
   const char* name() const override { return "shm"; }
-  void stop() override { stopping_.store(true, std::memory_order_release); }
+  void stop() override;
 
  protected:
   void send_raw(std::uint32_t dst, const DataMsg& m) override;
   std::optional<DataMsg> poll_raw(std::uint32_t pe) override;
+  bool pending_raw(std::uint32_t pe) override;
 
  private:
   std::vector<std::unique_ptr<MailboxRing>> mailboxes_;
+  /// Per mailbox: backpressured senders park here; each pop rings it.
+  std::vector<std::unique_ptr<Parker>> space_;
 };
 
 }  // namespace ph::net

@@ -7,7 +7,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <stdexcept>
-#include <thread>
 
 namespace ph::net {
 namespace {
@@ -17,7 +16,7 @@ constexpr std::uint64_t kMinHbTimeoutUs = 50000;  // floor on silence → death
 constexpr std::uint64_t kSpawnGraceUs = 200000;   // silence credit for a fresh fork
 constexpr std::uint64_t kBackoffBaseUs = 5000;    // first respawn delay
 constexpr std::uint64_t kBackoffCapUs = 200000;   // respawn delay ceiling
-constexpr std::uint64_t kFarewellPollUs = 200;
+constexpr std::uint64_t kFarewellParkUs = 200;  // reap cadence while workers exit
 
 }  // namespace
 
@@ -189,7 +188,10 @@ void Supervisor::shutdown(const DataMsg& farewell, std::uint64_t grace_us) {
     }
     drain_frames(now_us());
     if (!any_live || now_us() > deadline) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(kFarewellPollUs));
+    // A worker's last frame (its final stats) rings; it exits right after.
+    const std::uint32_t ep = transport_.supervisor_endpoint();
+    doorbell().park([&] { return transport_.pending(ep); },
+                    std::chrono::microseconds(kFarewellParkUs));
   }
   transport_.stop();  // releases any sender still spinning on a full ring
   kill_all();
@@ -218,6 +220,28 @@ void Supervisor::served_ok(std::uint32_t pe) {
 
 void Supervisor::inject_kill(std::uint32_t pe) {
   kill_request_.store(pe, std::memory_order_release);
+  doorbell().ring();
+}
+
+bool Supervisor::tick_ready() {
+  return kill_request_.load(std::memory_order_acquire) != FaultPlan::kNoPe ||
+         transport_.pending(transport_.supervisor_endpoint());
+}
+
+std::uint64_t Supervisor::next_due_us() const {
+  const std::uint64_t now = now_us();
+  std::uint64_t due = now + hb_interval_us_;
+  // As tick() fires it: a dead crash PE is waited for through its respawn.
+  if (plan_.crashes() && !crash_fired_ && plan_.crash_pe < n_pes() && alive(plan_.crash_pe))
+    due = std::min(due, plan_.crash_at);
+  for (const Slot& s : slots_) {
+    if (s.pid > 0) continue;
+    if (s.respawn_at != 0)
+      due = std::min(due, s.respawn_at);
+    else if (s.breaker.tripped())
+      due = std::min(due, s.breaker.half_open_at());
+  }
+  return due;
 }
 
 std::vector<pid_t> Supervisor::spawned_pids() const {
@@ -229,9 +253,19 @@ std::vector<pid_t> Supervisor::spawned_pids() const {
 
 Supervisor::Worker::Worker(Supervisor& sup, std::uint32_t pe, pid_t parent)
     : sup_(sup), pe_(pe), incarnation_(sup.slots_[pe].incarnation), parent_(parent) {
+  // A predecessor killed while parked left its mark on our doorbells.
+  sup_.transport_.reset_doorbells(pe_);
   // Blocked on a full ring whose consumer is dead and awaiting respawn,
   // the worker must keep announcing its own liveness.
   sup_.transport_.set_backpressure_hook([this] { heartbeat(); });
+}
+
+void Supervisor::Worker::park(std::uint64_t max_us) {
+  const std::uint64_t now = sup_.now_us();
+  const std::uint64_t beat_in = next_beat_ > now ? next_beat_ - now : 0;
+  ProcTransport& t = sup_.transport_;
+  t.doorbell(pe_).park([&] { return t.pending(pe_); },
+                       std::chrono::microseconds(std::min(max_us, beat_in)));
 }
 
 void Supervisor::Worker::heartbeat() {

@@ -80,6 +80,8 @@ class CircuitBreaker {
 
   std::uint32_t deaths() const { return deaths_; }
   bool tripped() const { return open_; }
+  /// When an Open breaker cools down to HalfOpen.
+  std::uint64_t half_open_at() const { return opened_at_ + cooldown_us_; }
 
  private:
   std::uint32_t budget_;
@@ -143,6 +145,9 @@ class Supervisor {
     std::optional<DataMsg> poll();
     /// Sends `m` from this PE to the supervisor.
     void send(DataMsg m);
+    /// The idle wait: parks on this PE's doorbell until a frame arrives,
+    /// the next heartbeat is due, or `max_us` passes.
+    void park(std::uint64_t max_us = UINT64_MAX);
 
    private:
     friend class Supervisor;
@@ -174,6 +179,17 @@ class Supervisor {
   /// One non-blocking pass: drain the supervisor endpoint, deliver a due
   /// kill, reap, detect silence, respawn, probe.
   void tick();
+
+  /// The supervisor endpoint's doorbell, rung by every frame a worker
+  /// sends it (heartbeats excepted) and by inject_kill. Pollable: its fd()
+  /// can join a caller's poll set.
+  Parker& doorbell() { return transport_.doorbell(transport_.supervisor_endpoint()); }
+  /// The next tick() has work now: a frame is waiting or a kill is queued.
+  bool tick_ready();
+  /// When tick() next has work with no frame arriving (supervisor µs): a
+  /// due respawn or probe, the plan's crash entry, or the next silence
+  /// check, one heartbeat interval away.
+  std::uint64_t next_due_us() const;
   /// Bounded farewell: `farewell` to every live worker, then reap and
   /// drain frames for up to `grace_us`, stop the transport and SIGKILL
   /// whoever is left. Nothing forked remains afterwards.

@@ -144,6 +144,7 @@ void TcpTransport::start() {
 void TcpTransport::stop() {
   if (!started_) return;
   stopping_.store(true, std::memory_order_release);
+  ring_all();
   for (auto& ep : endpoints_) {
     if (ep->poller.joinable()) wake(*ep);
     for (auto& peer : ep->peers)
@@ -178,6 +179,7 @@ void TcpTransport::send_raw(std::uint32_t dst, const DataMsg& m) {
       DataMsg back = decode_frame(frame);
       std::lock_guard<std::mutex> lk(src.in_mutex);
       src.inbox.push_back(std::move(back));
+      // No ring: the sender is the consumer, and it is not parked.
     } catch (const FrameError&) {
       stats().crc_errors.fetch_add(1, std::memory_order_relaxed);
       note_lost();
@@ -200,6 +202,12 @@ void TcpTransport::send_raw(std::uint32_t dst, const DataMsg& m) {
     peer.out_buf.insert(peer.out_buf.end(), frame.begin(), frame.end());
   }
   wake(src);
+}
+
+bool TcpTransport::pending_raw(std::uint32_t pe) {
+  Endpoint& ep = *endpoints_.at(pe);
+  std::lock_guard<std::mutex> lk(ep.in_mutex);
+  return !ep.inbox.empty();
 }
 
 std::optional<DataMsg> TcpTransport::poll_raw(std::uint32_t pe) {
@@ -226,8 +234,11 @@ void TcpTransport::deliver_bytes(std::uint32_t pe, Peer& peer,
       note_lost();
       continue;
     }
-    std::lock_guard<std::mutex> lk(ep.in_mutex);
-    ep.inbox.push_back(std::move(m));
+    {
+      std::lock_guard<std::mutex> lk(ep.in_mutex);
+      ep.inbox.push_back(std::move(m));
+    }
+    doorbell(pe).ring();
   }
 }
 

@@ -35,6 +35,7 @@ class TcpTransport : public Transport {
  protected:
   void send_raw(std::uint32_t dst, const DataMsg& m) override;
   std::optional<DataMsg> poll_raw(std::uint32_t pe) override;
+  bool pending_raw(std::uint32_t pe) override;
 
  private:
   /// One connected peer of one endpoint: the socket, its outbound byte

@@ -1,5 +1,6 @@
 #include "net/transport.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "net/frame.hpp"
@@ -12,7 +13,11 @@ namespace ph::net {
 Transport::Transport(std::uint32_t n_pes, const FaultInjector* injector)
     : n_pes_(n_pes), injector_(injector) {
   rx_.reserve(n_pes_);
-  for (std::uint32_t i = 0; i < n_pes_; ++i) rx_.push_back(std::make_unique<RxState>());
+  bells_.reserve(n_pes_);
+  for (std::uint32_t i = 0; i < n_pes_; ++i) {
+    rx_.push_back(std::make_unique<RxState>());
+    bells_.push_back(std::make_unique<Parker>());
+  }
 }
 
 Transport::~Transport() = default;
@@ -87,6 +92,22 @@ std::optional<DataMsg> Transport::poll(std::uint32_t pe) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     return m;
   }
+}
+
+bool Transport::pending(std::uint32_t pe) {
+  const RxState& rx = *rx_.at(pe);
+  return !rx.ready.empty() || holdback_due_in_us(pe) == 0 || pending_raw(pe);
+}
+
+std::uint64_t Transport::holdback_due_in_us(std::uint32_t pe) const {
+  const RxState& rx = *rx_.at(pe);
+  if (rx.delayed.empty()) return UINT64_MAX;
+  const auto now = std::chrono::steady_clock::now();
+  auto first = rx.delayed.front().release;
+  for (const TimedMsg& d : rx.delayed) first = std::min(first, d.release);
+  if (first <= now) return 0;
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(first - now).count()) + 1;
 }
 
 bool Transport::idle() const {

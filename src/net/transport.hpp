@@ -20,10 +20,14 @@
 // messages are therefore injected on real wires without perturbing the
 // transport implementations themselves.
 //
+// Every endpoint has a doorbell (rts/parker.hpp): its consumer parks
+// there while idle, and each implementation rings it at the point where a
+// sent frame becomes pollable at that endpoint. stop() rings them all.
+//
 // Threading contract: send(dst, m) may be called from any PE thread;
-// poll(pe) only from PE `pe`'s thread; start()/stop() from the driver
-// thread with the PE threads quiescent. idle() may be read from a
-// supervisor thread at any time.
+// poll(pe) and pending(pe) only from PE `pe`'s thread; start()/stop()
+// from the driver thread with the PE threads quiescent. idle() may be
+// read from a supervisor thread at any time.
 #pragma once
 
 #include <atomic>
@@ -36,6 +40,7 @@
 
 #include "net/channel.hpp"
 #include "rts/config.hpp"
+#include "rts/parker.hpp"
 
 namespace ph::net {
 
@@ -75,6 +80,18 @@ class Transport {
   /// fault filter here.
   std::optional<DataMsg> poll(std::uint32_t pe);
 
+  /// True when poll(pe) has something to return (a frame on the wire, a
+  /// held-back copy that is due): the readiness check of a park on
+  /// doorbell(pe). Only PE `pe`'s thread may call this.
+  bool pending(std::uint32_t pe);
+  /// µs until the earliest held-back (delayed) copy for `pe` is due;
+  /// UINT64_MAX when none is held. Only PE `pe`'s thread may call this.
+  std::uint64_t holdback_due_in_us(std::uint32_t pe) const;
+
+  /// Endpoint `pe`'s doorbell: rung whenever a frame becomes pollable
+  /// there, and by stop().
+  Parker& doorbell(std::uint32_t pe) { return *bells_.at(pe); }
+
   /// True when nothing is in flight anywhere: every sent frame has been
   /// delivered, dropped or failed its CRC, and no delayed/duplicated
   /// copy is still waiting in a hold-back buffer. Safe from any thread;
@@ -92,6 +109,13 @@ class Transport {
   virtual void send_raw(std::uint32_t dst, const DataMsg& m) = 0;
   /// Next raw arrival for `pe`, if any (nonblocking, consumer thread).
   virtual std::optional<DataMsg> poll_raw(std::uint32_t pe) = 0;
+  /// True when poll_raw(pe) would return a frame (consumer thread).
+  virtual bool pending_raw(std::uint32_t pe) = 0;
+
+  /// Rings every doorbell (stop(): parked consumers see the run end).
+  void ring_all() {
+    for (auto& b : bells_) b->ring();
+  }
 
   /// For implementations that lose a frame below the filter (CRC reject):
   /// keeps the in-flight accounting exact so idle() still converges.
@@ -106,6 +130,9 @@ class Transport {
   }
 
   std::atomic<bool> stopping_{false};
+  /// One doorbell per endpoint, in process memory unless a subclass
+  /// replaces them (ProcTransport keeps its doorbells in shared memory).
+  std::vector<std::unique_ptr<Parker>> bells_;
 
  private:
   struct TimedMsg {

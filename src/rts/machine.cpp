@@ -60,6 +60,7 @@ void Capability::spark(Obj* p) {
     sparks_.push(p);
   }
   spark_stats_.created++;
+  m_.parker().ring();
 }
 
 bool Capability::accept_pushed_spark(Obj* p, SparkStats& pusher_stats) {
@@ -77,6 +78,7 @@ bool Capability::accept_pushed_spark(Obj* p, SparkStats& pusher_stats) {
   }
   sparks_.push(p);
   // No created++: the spark was counted when the pusher created it.
+  m_.parker().ring();
   return true;
 }
 
@@ -105,11 +107,13 @@ Machine::Machine(const Program& prog, RtsConfig cfg) : prog_(prog), cfg_(std::mo
   // +RTS -DL: Core Lint at load time. Every driver (sim, threaded, Eden
   // sim, Eden rt) funnels its program through this constructor, so one
   // hook covers all four.
-  if (cfg_.lint) lint_or_throw(prog_, {}, "load");
+  // The verdict is recorded on the validated Program, so no Machine pays
+  // for the lint.
+  if (cfg_.lint) lint_or_throw(prog_, "load");
   if (cfg_.bytecode) {
-    // Only linted programs are compiled (ISSUE: "lower linted
-    // supercombinator Programs"); --bytecode without --lint still lints.
-    if (!cfg_.lint) lint_or_throw(prog_, {}, "bytecode");
+    // Only linted programs are compiled; --bytecode without --lint still
+    // lints.
+    if (!cfg_.lint) lint_or_throw(prog_, "bytecode");
     bytecode_ = bc::shared_cache().get_or_compile(prog_, cfg_.code_cache);
   }
   if (cfg_.n_caps == 0) throw ProgramError("machine needs at least one capability");
@@ -189,11 +193,16 @@ Tso* Machine::new_tso(std::uint32_t cap) {
   return tsos_.back().get();
 }
 
+void Machine::push_new(std::uint32_t cap, Tso* t) {
+  this->cap(cap).push_thread(t);
+  parker_.ring();
+}
+
 Tso* Machine::spawn_enter(Obj* p, std::uint32_t cap, bool enqueue) {
   Tso* t = new_tso(cap);
   t->code.mode = CodeMode::Enter;
   t->code.ptr = p;
-  if (enqueue) this->cap(cap).push_thread(t);
+  if (enqueue) push_new(cap, t);
   return t;
 }
 
@@ -208,7 +217,7 @@ Tso* Machine::spawn_apply(GlobalId f, const std::vector<Obj*>& args, std::uint32
   }
   t->code.mode = CodeMode::Enter;
   t->code.ptr = g.arity > 0 ? static_fun(f) : caf_cell(f);
-  if (enqueue) this->cap(cap).push_thread(t);
+  if (enqueue) push_new(cap, t);
   return t;
 }
 
@@ -220,7 +229,7 @@ Tso* Machine::spawn_deep_force(Obj* p, std::uint32_t cap, bool enqueue) {
   t->stack.push_back(fr);
   t->code.mode = CodeMode::Enter;
   t->code.ptr = p;
-  if (enqueue) this->cap(cap).push_thread(t);
+  if (enqueue) push_new(cap, t);
   return t;
 }
 
@@ -280,6 +289,7 @@ Tso* Machine::try_steal(Capability& thief) {
 void Machine::push_work(Capability& c) {
   // Surplus *threads* are pushed under both policies (§IV.A.2: "surplus
   // threads are still pushed actively to other capabilities").
+  bool moved = false;
   for (std::uint32_t i = 0; i < n_caps(); ++i) {
     if (i == c.id()) continue;
     Capability& v = cap(i);
@@ -294,21 +304,23 @@ void Machine::push_work(Capability& c) {
       }
       t->home_cap = i;
       v.push_thread(t);
+      moved = true;
     }
     if (cfg_.work == WorkPolicy::PushOnPoll) {
       // Old GHC 6.8.x scheme: push surplus sparks, but only now, while the
       // scheduler happens to be running on the busy capability.
-      std::uint32_t moved = 0;
-      while (moved < cfg_.push_batch && v.spark_pool_size() == 0) {
+      std::uint32_t pushed = 0;
+      while (pushed < cfg_.push_batch && v.spark_pool_size() == 0) {
         Obj* s = next_useful_spark(c);
         if (s == nullptr) break;
         // Hand-over accounts against *our* stats: the victim's counters
         // stay single-writer even with several capabilities pushing.
         if (!v.accept_pushed_spark(s, c.spark_stats())) break;
-        moved++;
+        pushed++;
       }
     }
   }
+  if (moved) parker_.ring();
 }
 
 bool Machine::spark_thread_continue(Capability& c, Tso& t) {
@@ -438,6 +450,7 @@ void Machine::wake_queue_of(Obj* obj) {
     cap(t->home_cap).n_blocked.fetch_sub(1, std::memory_order_relaxed);
     cap(t->home_cap).push_thread(t);
   }
+  if (!waiters.empty()) parker_.ring();
 }
 
 void Machine::update(Capability& c, Obj* target, Obj* value) {

@@ -29,6 +29,7 @@
 #include "heap/heap.hpp"
 #include "rts/config.hpp"
 #include "rts/fault.hpp"
+#include "rts/parker.hpp"
 #include "rts/tso.hpp"
 #include "rts/wsdeque.hpp"
 
@@ -183,6 +184,10 @@ struct MachineStats {
   std::uint64_t blocked_on_blackhole = 0;
   std::uint64_t blocked_on_placeholder = 0;
   std::uint64_t threads_killed = 0;  // unwound by kill_thread (HeapOverflow, ...)
+  // ThreadedDriver's GC barrier wait, summed over collections: the wall
+  // time from the first capability reaching the barrier to the leader
+  // starting collect().
+  std::uint64_t gc_sync_ns = 0;
 };
 
 class Machine {
@@ -366,6 +371,11 @@ class Machine {
   MachineStats& stats() { return stats_; }
   const MachineStats& stats() const { return stats_; }
 
+  /// The doorbell idle capabilities park on (ThreadedDriver). Rung by
+  /// every push that can make a parked capability runnable: a spark, a new
+  /// thread, a black-hole or placeholder wake, push_work.
+  Parker& parker() { return parker_; }
+
   /// Enables the striped object locks serialising thunk entry / update /
   /// black-holing, and the parallel collector in collect(). Engaged by the
   /// threaded driver; the (single-OS-thread) simulation drivers leave it
@@ -392,6 +402,8 @@ class Machine {
  private:
   friend class Capability;
   Tso* new_tso(std::uint32_t cap);
+  /// Queues a new thread on `cap` and rings the doorbell.
+  void push_new(std::uint32_t cap, Tso* t);
   void walk_roots(Gc& gc);
   void walk_tso(Gc& gc, Tso& t);
   void walk_cap_sparks(Gc& gc, Capability& c);
@@ -433,6 +445,9 @@ class Machine {
   std::uint32_t cancel_tick_ = 0;
 
   MachineStats stats_;
+  // Last, and 64-byte aligned: the doorbell's words get a cache line of
+  // their own, away from the members the mutators touch.
+  Parker parker_;
 };
 
 template <typename Hook>

@@ -8,6 +8,13 @@
 
 namespace ph {
 
+namespace {
+/// An idle capability's park timeout. Five consecutive timed-out parks,
+/// with every capability idle and no progress, declare deadlock.
+constexpr std::chrono::milliseconds kIdlePark{1};
+constexpr std::uint32_t kDeadlockStrikes = 5;
+}  // namespace
+
 ThreadedResult ThreadedDriver::run(Tso* main_tso) {
   const auto t0 = std::chrono::steady_clock::now();
   // While concurrent, Machine::collect runs the parallel collector, and
@@ -35,14 +42,20 @@ ThreadedResult ThreadedDriver::run(Tso* main_tso) {
 }
 
 void ThreadedDriver::barrier() {
+  // Capabilities parked idle come to the barrier at once.
+  m_.parker().ring();
   std::unique_lock<std::mutex> lk(gc_mutex_);
   const std::uint64_t epoch = gc_epoch_;
-  gc_arrived_++;
+  if (gc_arrived_++ == 0) gc_sync_start_ = std::chrono::steady_clock::now();
   if (gc_arrived_ == m_.n_caps()) {
     // Last to park: lead the stop-the-world collection. The mutex is
     // released while collecting so the parked capabilities can donate
     // themselves to the heap's GC worker team (poll loop below).
     if (!done_.load()) {
+      m_.stats().gc_sync_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - gc_sync_start_)
+              .count());
       gc_collecting_ = true;
       gc_cv_.notify_all();
       lk.unlock();
@@ -77,13 +90,23 @@ void ThreadedDriver::barrier() {
 void ThreadedDriver::worker(std::uint32_t ci, Tso* main_tso) {
   Capability& c = m_.cap(ci);
   Quantum q;
-  std::uint32_t idle_spins = 0;
   std::uint32_t deadlock_strikes = 0;
 
   auto finish = [&] {
-    std::lock_guard<std::mutex> lk(gc_mutex_);
-    done_.store(true);
-    gc_cv_.notify_all();
+    {
+      std::lock_guard<std::mutex> lk(gc_mutex_);
+      done_.store(true);
+      gc_cv_.notify_all();
+    }
+    m_.parker().ring();
+  };
+  // What ends an idle park early: work this capability can take (its own
+  // queue or pool, or a spark to steal), a collection to join, the end.
+  const bool steals = m_.config().work == WorkPolicy::Steal;
+  auto ready = [&] {
+    return done_.load(std::memory_order_acquire) || m_.heap().gc_requested() ||
+           c.has_runnable() || c.spark_pool_size() > 0 ||
+           (steals && m_.sparks_anywhere());
   };
 
   while (!done_.load(std::memory_order_acquire)) {
@@ -100,12 +123,11 @@ void ThreadedDriver::worker(std::uint32_t ci, Tso* main_tso) {
       if (t == nullptr) t = m_.try_steal(c);
       if (t == nullptr) {
         c.idle.store(true, std::memory_order_relaxed);
-        if (++idle_spins < 64) {
-          std::this_thread::yield();
+        const std::uint64_t before = progress_.load();
+        if (m_.parker().park(ready, kIdlePark) != Park::TimedOut) {
+          deadlock_strikes = 0;
           continue;
         }
-        const std::uint64_t before = progress_.load();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
         // A peer holding a runnable thread counts as progress even when
         // the OS has descheduled it mid-run (its thread is in no queue,
         // so work_anywhere() can't see it): deadlock needs *every*
@@ -116,8 +138,8 @@ void ThreadedDriver::worker(std::uint32_t ci, Tso* main_tso) {
           all_idle = m_.cap(w).idle.load(std::memory_order_relaxed);
         if (all_idle && progress_.load() == before && !m_.work_anywhere() &&
             !m_.heap().gc_requested() && !done_.load()) {
-          if (++deadlock_strikes >= 5) {
-            // Five quiet wall-clock checks: every worker is idle and no
+          if (++deadlock_strikes >= kDeadlockStrikes) {
+            // Five quiet timed-out parks: every worker is idle and no
             // wakeup source remains. Analyse the wait-for graph (all TSO
             // stacks are quiescent now) so the report names the cycle.
             {
@@ -134,7 +156,6 @@ void ThreadedDriver::worker(std::uint32_t ci, Tso* main_tso) {
         continue;
       }
       c.idle.store(false, std::memory_order_relaxed);
-      idle_spins = 0;
       deadlock_strikes = 0;
       t->state = ThreadState::Running;
       q.active = t;

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -56,6 +57,7 @@ class ThreadedDriver {
   std::uint32_t gc_arrived_ = 0;
   std::uint64_t gc_epoch_ = 0;
   bool gc_collecting_ = false;  // leader is inside m_.collect(); helpers poll
+  std::chrono::steady_clock::time_point gc_sync_start_;  // first arrival this epoch
   std::atomic<bool> done_{false};
   std::atomic<bool> deadlocked_{false};
   std::atomic<std::uint64_t> progress_{0};

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,7 +12,6 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 namespace ph::serve {
 
@@ -99,6 +99,13 @@ bool ServeClient::pump() {
   }
 }
 
+void ServeClient::await(std::uint64_t timeout_us) {
+  pollfd p{fd_, static_cast<short>(POLLIN | (out_.empty() ? 0 : POLLOUT)), 0};
+  const timespec ts{static_cast<time_t>(timeout_us / 1'000'000),
+                    static_cast<long>(timeout_us % 1'000'000) * 1000};
+  ::ppoll(&p, 1, &ts, nullptr);
+}
+
 std::optional<ServeReply> ServeClient::next_read() {
   net::DataMsg m;
   for (;;) {
@@ -140,11 +147,12 @@ std::optional<ServeReply> ServeClient::wait(std::uint64_t id,
       stash_.push_back(*r);
     }
     if (fd_ < 0) return std::nullopt;  // connection died
-    const auto el = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    if (static_cast<std::uint64_t>(el) > timeout_us) return std::nullopt;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    const auto el = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    if (el > timeout_us) return std::nullopt;
+    await(timeout_us - el + 1);
   }
 }
 
@@ -154,11 +162,12 @@ std::optional<ServeReply> ServeClient::wait_any(std::uint64_t timeout_us) {
     std::optional<ServeReply> r = poll();
     if (r) return r;
     if (fd_ < 0) return std::nullopt;
-    const auto el = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    if (static_cast<std::uint64_t>(el) > timeout_us) return std::nullopt;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    const auto el = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    if (el > timeout_us) return std::nullopt;
+    await(timeout_us - el + 1);
   }
 }
 

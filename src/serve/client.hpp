@@ -45,6 +45,9 @@ class ServeClient {
   void send_msg(const net::DataMsg& m);
   void flush();
   bool pump();  // one nonblocking read; false when the conn died
+  /// Sleeps in poll() until the socket is readable (or, with output
+  /// buffered, writable), or `timeout_us` passes.
+  void await(std::uint64_t timeout_us);
   std::optional<ServeReply> next_read();  // next reply already read off the socket
 
   int fd_ = -1;

@@ -1,7 +1,6 @@
 #include "serve/fleet.hpp"
 
 #include <cstring>
-#include <thread>
 
 namespace ph::serve {
 
@@ -177,7 +176,14 @@ void ServeFleet::worker_main(net::Supervisor::Worker& w) {
           break;
         }
         case ServeOp::Cancel:
-          if (current_id != 0 && m->cseq == current_id) cancel_current = true;
+          if (current_id != 0 && m->cseq == current_id) {
+            cancel_current = true;
+          } else if (pending && pending->id == m->cseq) {
+            // Read in the same pass as its Submit: never started.
+            killed++;
+            reply_error(pending->id, ServeError::Cancelled, "cancelled by client");
+            pending.reset();
+          }
           break;
         case ServeOp::Shutdown:
           shutdown = true;  // finish the in-flight request, then exit
@@ -315,7 +321,9 @@ void ServeFleet::worker_main(net::Supervisor::Worker& w) {
       pending.reset();
       execute(req);
     } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      // Until a control frame rings this PE's doorbell or the next
+      // heartbeat is due.
+      w.park();
     }
   }
 

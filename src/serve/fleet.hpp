@@ -28,7 +28,10 @@
 //     a bounded grace so drain cannot hang the daemon.
 //
 // The supervisor side is single-threaded and non-blocking: the daemon's
-// event loop calls tick() which never sleeps.
+// event loop calls tick(), which never sleeps, and blocks in one poll()
+// that includes the fleet's doorbell (every worker reply rings it). An
+// idle worker parks on its own doorbell until a control frame arrives or
+// its next heartbeat is due (DESIGN.md §18).
 #pragma once
 
 #include <sys/types.h>
@@ -96,6 +99,13 @@ class ServeFleet : private net::Supervisor::Driver {
   /// One non-blocking supervision pass: drain worker frames, execute due
   /// chaos kills, reap, detect silence, respawn/probe, quarantine.
   FleetEvents tick();
+  /// The fleet's doorbell: every worker reply and inject_kill ring it; its
+  /// fd() joins the daemon's poll set.
+  Parker& doorbell() { return sup_.doorbell(); }
+  /// The next tick() has work now (a frame waiting, a kill queued).
+  bool tick_ready() { return sup_.tick_ready(); }
+  /// When tick() next has work with no frame arriving (fleet-epoch µs).
+  std::uint64_t next_tick_us() const { return sup_.next_due_us(); }
 
   /// Graceful stop: Shutdown to every live worker, bounded reap, SIGKILL
   /// stragglers. After drain() no child of this process remains (waitpid

@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <cstring>
 #include <sstream>
-#include <thread>
 
 #include "core/lint/lint.hpp"
 #include "eval/bytecode.hpp"
@@ -21,9 +20,6 @@ namespace ph::serve {
 
 namespace {
 
-/// Idle-loop nap: the ceiling this adds to request latency when nothing
-/// is happening is well under the scheduling noise of a fork'd fleet.
-constexpr std::uint64_t kIdleNapUs = 100;
 /// A running request this far past its deadline gets its Cancel re-sent
 /// (backstop — the worker's own deadline poll should have fired long
 /// before; heartbeat silence handles a truly wedged worker).
@@ -84,11 +80,26 @@ void ServeDaemon::start() {
   // rejected and recompiled here; an unwritable path fails start-up
   // loudly instead of failing every request.
   if (fc.worker_rts.bytecode) {
-    lint_or_throw(prog_, {}, "bytecode");
+    lint_or_throw(prog_, "bytecode");  // recorded: workers never lint
     bc::shared_cache().get_or_compile(prog_, fc.worker_rts.code_cache);
   }
   fleet_ = std::make_unique<ServeFleet>(prog_, fc);
   fleet_->start();
+  bell_.store(&fleet_->doorbell(), std::memory_order_release);
+}
+
+void ServeDaemon::request_drain() {
+  draining_.store(true, std::memory_order_release);
+  if (Parker* b = bell_.load(std::memory_order_acquire)) b->ring();
+}
+
+std::uint64_t ServeDaemon::park_us() const {
+  const std::uint64_t now = fleet_->now_us();
+  std::uint64_t due = fleet_->next_tick_us();
+  for (const PendingReq& p : queue_) due = std::min(due, p.abs_deadline_us);
+  for (const auto& [id, f] : inflight_)
+    due = std::min(due, std::max(f.abs_deadline_us, f.last_cancel_nudge_us) + kCancelNudgeUs);
+  return due > now ? due - now : 0;
 }
 
 ServeReply ServeDaemon::make_error(std::uint64_t id, ServeError e,
@@ -407,12 +418,15 @@ void ServeDaemon::read_conn(std::size_t ci) {
 
 void ServeDaemon::run() {
   if (listen_fd_ < 0) start();
+  Parker& bell = fleet_->doorbell();
+  std::vector<pollfd> fds;
+  std::vector<std::size_t> fd_conn;
+  bool drain_seen = false;
+  activity_ = true;  // the first pass polls without sleeping
   for (;;) {
-    activity_ = false;
-
-    std::vector<pollfd> fds;
+    fds.clear();
+    fd_conn.clear();
     fds.push_back({listen_fd_, POLLIN, 0});
-    std::vector<std::size_t> fd_conn;
     for (std::size_t i = 0; i < conns_.size(); ++i) {
       if (conns_[i].fd < 0) continue;
       short ev = POLLIN;
@@ -420,18 +434,27 @@ void ServeDaemon::run() {
       fds.push_back({conns_[i].fd, ev, 0});
       fd_conn.push_back(i);
     }
-    if (::poll(fds.data(), fds.size(), 0) > 0) {
-      if (fds[0].revents & POLLIN) accept_new();
-      for (std::size_t k = 1; k < fds.size(); ++k) {
-        const std::size_t ci = fd_conn[k - 1];
-        if (conns_[ci].fd < 0) continue;
-        if (fds[k].revents & (POLLERR | POLLHUP)) {
-          close_conn(ci);
-          continue;
-        }
-        if (fds[k].revents & POLLOUT) flush_conn(ci);
-        if (conns_[ci].fd >= 0 && (fds[k].revents & POLLIN)) read_conn(ci);
+    fds.push_back({bell.fd(), POLLIN, 0});
+    // One poll() over the sockets and the fleet's doorbell. It sleeps only
+    // after a pass that did nothing, with no worker frame or new drain
+    // request waiting, and at most until the next deadline, respawn or
+    // silence check.
+    bell.park(
+        [&] { return activity_ || fleet_->tick_ready() || (draining() && !drain_seen); },
+        std::chrono::microseconds(park_us()), fds);
+    activity_ = false;
+    drain_seen = draining();
+    if (fds[0].revents & POLLIN) accept_new();
+    for (std::size_t k = 0; k < fd_conn.size(); ++k) {
+      const pollfd& p = fds[k + 1];
+      const std::size_t ci = fd_conn[k];
+      if (conns_[ci].fd < 0 || p.revents == 0) continue;
+      if (p.revents & (POLLERR | POLLHUP)) {
+        close_conn(ci);
+        continue;
       }
+      if (p.revents & POLLOUT) flush_conn(ci);
+      if (conns_[ci].fd >= 0 && (p.revents & POLLIN)) read_conn(ci);
     }
 
     absorb_fleet_events();
@@ -450,8 +473,6 @@ void ServeDaemon::run() {
         }
       return;
     }
-    if (!activity_)
-      std::this_thread::sleep_for(std::chrono::microseconds(kIdleNapUs));
   }
 }
 

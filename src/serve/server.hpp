@@ -85,8 +85,9 @@ class ServeDaemon {
   /// thread entry point.
   void run();
 
-  /// SIGTERM path: one atomic store, safe from a signal handler.
-  void request_drain() { draining_.store(true, std::memory_order_release); }
+  /// SIGTERM path: an atomic store and a ring of the fleet's doorbell, so
+  /// the event loop wakes at once; safe from a signal handler.
+  void request_drain();
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
   ServeFleet& fleet() { return *fleet_; }
@@ -133,6 +134,9 @@ class ServeDaemon {
   void sweep_deadlines();
   void absorb_fleet_events();
   ServeReply make_error(std::uint64_t id, ServeError e, const std::string& t);
+  /// How long the event loop may sleep: until the earliest queued deadline,
+  /// in-flight cancel nudge, or fleet tick with work.
+  std::uint64_t park_us() const;
 
   const Program& prog_;
   ServeConfig cfg_;
@@ -147,7 +151,8 @@ class ServeDaemon {
   std::deque<PendingReq> queue_;
   std::map<std::uint64_t, InFlight> inflight_;
   std::atomic<bool> draining_{false};
-  bool activity_ = false;  // set by handlers; idle loop sleeps when clear
+  std::atomic<Parker*> bell_{nullptr};  // the fleet's doorbell, once started
+  bool activity_ = false;  // set by handlers; the loop sleeps only when clear
 };
 
 }  // namespace ph::serve

@@ -569,5 +569,19 @@ TEST(BytecodeCacheFile, RegistryIsSharedAcrossMachines) {
   EXPECT_EQ(bc::shared_cache().stats().compiles, 1u);
 }
 
+TEST(BytecodeCacheFile, CopyOfAValidatedProgramSharesItsRecordedFacts) {
+  // The content hash and the lint verdict are recorded once on a validated
+  // Program and shared by its copies, so a copy's cache lookup is a hash
+  // compare that finds the original's blob.
+  bc::shared_cache().clear();
+  Rig a([](Builder& b) { build_sumeuler(b); }, sim_cfg(true));
+  const Program copy = a.prog;
+  EXPECT_EQ(copy.content_hash(), a.prog.content_hash());
+  EXPECT_EQ(&copy.lint_report(), &a.prog.lint_report());
+  Machine m(copy, sim_cfg(true));
+  EXPECT_EQ(m.bytecode(), a.m->bytecode());
+  EXPECT_EQ(bc::shared_cache().stats().compiles, 1u);
+}
+
 }  // namespace
 }  // namespace ph::test

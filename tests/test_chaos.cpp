@@ -111,11 +111,13 @@ struct CrashRun {
 
 // Aims the plan's kill at `frac` of a crash-free run (`calm_s`), not at a
 // fixed offset a fast host finishes before. A kill lands when the
-// supervisor saw the death before the run ended: a run whose kill missed,
-// or fired so late that the root finished first, halves the offset and
-// retries, as bench/chaos_recovery.cpp does.
+// supervisor saw the death before the run ended (and, with
+// `need_respawn`, respawned the PE before it ended, which it does only
+// when the victim still held work): a run whose kill missed, or fired so
+// late that the root finished first, halves the offset and retries, as
+// bench/chaos_recovery.cpp does.
 CrashRun run_until_kill_lands(std::uint32_t n_pes, FaultPlan plan, double calm_s,
-                              double frac, const ProcRun& run) {
+                              double frac, const ProcRun& run, bool need_respawn = false) {
   constexpr std::uint64_t kMinOffsetUs = 500;
   plan.crash_at = std::max<std::uint64_t>(
       kMinOffsetUs, static_cast<std::uint64_t>(calm_s * 1e6 * frac));
@@ -124,7 +126,8 @@ CrashRun run_until_kill_lands(std::uint32_t n_pes, FaultPlan plan, double calm_s
     c.rig = std::make_unique<ProcRig>(n_pes, plan);
     c.res = run(*c.rig);
     c.crash_at = plan.crash_at;
-    const bool landed = c.res.faults.crashes > 0 && c.res.faults.detect_us > 0;
+    const bool landed = c.res.faults.crashes > 0 && c.res.faults.detect_us > 0 &&
+                        (!need_respawn || c.res.faults.restarts > 0);
     if (landed || plan.crash_at == kMinOffsetUs) break;
     plan.crash_at = std::max(kMinOffsetUs, plan.crash_at / 2);
   }
@@ -166,7 +169,7 @@ TEST_P(ProcRt, KillDashNineNonRootPeMidComputationRecovers) {
     plan.crash_pe = 1 + static_cast<std::uint32_t>(seed % 3);  // PEs 1..3
     plan.restart_max = 5;
     const double frac = 0.2 + 0.4 * static_cast<double>((seed * 7919) % 1000) / 1000.0;
-    CrashRun c = run_until_kill_lands(4, plan, calm_s, frac, run);
+    CrashRun c = run_until_kill_lands(4, plan, calm_s, frac, run, /*need_respawn=*/true);
     const EdenRtResult& res = c.res;
     ASSERT_FALSE(res.deadlocked) << res.diagnosis.describe();
     EXPECT_EQ(read_int(res.value), oracle) << "seed " << seed;
@@ -254,13 +257,21 @@ TEST(ProcChaos, HeartbeatSilenceDetectsAWedgedPe) {
   // SIGSTOP instead of SIGKILL: the victim never becomes reapable, so
   // only the heartbeat-silence detector can notice. The supervisor must
   // kill the zombie-in-life for real and recover exactly as for a crash.
+  // The wedge is aimed at a share of a crash-free run, like the kill
+  // above: every process starts at once, so a fixed offset can fall after
+  // the victim's last task.
   FaultPlan plan;
   plan.crash_pe = 1;
-  plan.crash_at = 12000;
-  ProcRig r(4, plan);
-  Obj* partials = skel::par_map_reduce(*r.sys, r.prog.find("sumPhi"),
-                                       sumeuler_tasks(*r.sys));
-  EdenRtResult res = r.run_root("sum", {partials}, net::ProcWire::Shm, SIGSTOP);
+  const ProcRun run = [](ProcRig& r) {
+    Obj* partials = skel::par_map_reduce(*r.sys, r.prog.find("sumPhi"),
+                                         sumeuler_tasks(*r.sys));
+    return r.run_root("sum", {partials}, net::ProcWire::Shm, SIGSTOP);
+  };
+  const double calm_s = crash_free_seconds(4, [](ProcRig& r) {
+    return run_sumeuler(r, net::ProcWire::Shm);
+  });
+  CrashRun c = run_until_kill_lands(4, plan, calm_s, 0.25, run, /*need_respawn=*/true);
+  const EdenRtResult& res = c.res;
   ASSERT_FALSE(res.deadlocked) << res.diagnosis.describe();
   EXPECT_EQ(read_int(res.value), sum_euler_reference(200));
   ASSERT_EQ(res.faults.crashes, 1u);

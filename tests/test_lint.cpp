@@ -402,6 +402,7 @@ TEST(LintMachine, DlFlagRejectsLintDirtyProgramAtLoad) {
   p.validate();
   RtsConfig on = config_plain(1);
   on.lint = true;
+  std::string listing;
   try {
     Machine m(p, on);
     FAIL() << "expected LintError";
@@ -409,6 +410,16 @@ TEST(LintMachine, DlFlagRejectsLintDirtyProgramAtLoad) {
     ASSERT_EQ(e.report.defects.size(), 1u);
     EXPECT_EQ(e.report.defects[0].rule, LintRule::L6ConShape);
     EXPECT_NE(std::string(e.what()).find("error[L6]"), std::string::npos);
+    listing = e.what();
+  }
+  // The verdict is recorded on the Program: a second Machine reads it
+  // instead of linting again, and must still reject with the same listing.
+  try {
+    Machine again(p, on);
+    FAIL() << "expected LintError from the recorded verdict";
+  } catch (const LintError& e) {
+    EXPECT_EQ(std::string(e.what()), listing);
+    EXPECT_EQ(e.report.defects.size(), 1u);
   }
   RtsConfig off = config_plain(1);
   EXPECT_NO_THROW(Machine m2(p, off));  // without -DL the machine loads

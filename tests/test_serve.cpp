@@ -540,6 +540,42 @@ TEST(ServeDaemon, ClientCancelStopsInFlightWork) {
   EXPECT_EQ(r->value, catalog_oracle("matmul", {8, 1}));
 }
 
+TEST(ServeDaemon, CancelReadWithItsSubmitStillLands) {
+  // A worker descheduled while the daemon dispatches a request and then
+  // forwards the client's Cancel reads both frames in one pass. The
+  // Cancel names a request that is received but not yet running; it must
+  // still land, not be dropped for the request to run to completion.
+  DaemonRig rig([](ServeConfig& c) {
+    c.fleet.n_pes = 1;
+    // Silence detection stretched past the test: the stop below must not
+    // read as a death on a loaded host.
+    c.fleet.fault.heartbeat_timeout = 10'000'000;
+  });
+  std::optional<ServeReply> r = rig.ask(1, "matmul", {8, 1});  // worker up
+  ASSERT_TRUE(r && r->op == ServeOp::Result);
+  const pid_t worker = rig.daemon->fleet().pe_pid(0);
+  ASSERT_GT(worker, 0);
+  ASSERT_EQ(kill(worker, SIGSTOP), 0);
+  ServeRequest req;
+  req.id = 2;
+  req.program = "sumeuler";
+  req.params = {400, 25};  // ~hundreds of ms of work
+  rig.client.submit(req);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  rig.client.cancel(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(kill(worker, SIGCONT), 0);
+  r = rig.client.wait(2, 30'000'000);
+  ASSERT_TRUE(r.has_value());
+  ASSERT_EQ(r->op, ServeOp::Error);
+  EXPECT_EQ(r->error, ServeError::Cancelled);
+  r = rig.ask(3, "matmul", {8, 1});
+  ASSERT_TRUE(r && r->op == ServeOp::Result);
+  EXPECT_EQ(r->value, catalog_oracle("matmul", {8, 1}));
+  rig.stop();
+  EXPECT_EQ(rig.daemon->fleet().stats().deaths, 0u);
+}
+
 // --- daemon: admission / load shedding ---------------------------------------
 
 TEST(ServeDaemon, OverloadShedsWithStructuredHints) {

@@ -29,7 +29,7 @@ namespace {
 ServeDaemon* g_daemon = nullptr;
 
 void on_term(int) {
-  // One atomic store; the event loop notices and drains.
+  // An atomic store and a doorbell ring: the event loop wakes and drains.
   if (g_daemon != nullptr) g_daemon->request_drain();
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Sanitizer stress job for the schedule-exploration harness, the parallel
-# GC and the real-time Eden driver.
+# GC, the real-time Eden driver and the Parker.
 #
 # Builds the tree with PARHASK_SANITIZE=thread and runs these labelled
 # suites under many random schedules:
@@ -30,8 +30,23 @@
 #               admission/dedup/breaker policies under chaos kills, the
 #               fleet's silence detection and orphaned workers
 #               (ServeFleetChaos.HeartbeatSilenceLosesTheRequestAndRespawns,
-#               ServeFleetChaos.WorkersExitWhenTheirSupervisorDies) and the
+#               ServeFleetChaos.WorkersExitWhenTheirSupervisorDies), a
+#               Cancel read with its Submit
+#               (ServeDaemon.CancelReadWithItsSubmitStillLands) and the
 #               graceful drain path;
+#   parker    — the doorbell every wall-clock idle wait parks on
+#               (parhask_parker_tests): a ring inside the re-check window
+#               (Parker.RingBeforeSleepReturnsRungAtOnce), published state
+#               (Parker.PublishedStateBeforeParkReturnsReady), the timeout
+#               (Parker.ParkWithNoRingTimesOutNoSooner), fresh revents for
+#               the caller's poll set on every exit
+#               (Parker.CallersFdsArePolledOnEveryExit), a 100k-ring
+#               ping-pong that must lose no wakeup
+#               (Parker.PingPongOf100kRingsLosesNone), a doorbell in shared
+#               memory rung across fork() on both wake paths
+#               (Wake/ParkerAcrossFork.*), and the five-park deadlock
+#               windows of ThreadedDriver and EdenThreadedDriver
+#               (ParkerDeadlockWindow.*);
 #   bytecode  — the bytecode backend: the interpreter-vs-bytecode
 #               differential fuzzer on the sim and OS-thread drivers (engine
 #               divergence, spark-counter drift, and audited collections on
@@ -52,8 +67,8 @@
 # tests/ or bench/ directory is a leaked worker: the script prints its pid
 # and command line, kills it and fails, since a leaked worker would keep
 # a core busy through every later pass. With --asan an
-# AddressSanitizer pass over the gc label follows the TSan sweep (one
-# iteration — ASan failures are not schedule-dependent): the
+# AddressSanitizer pass over the gc and parker labels follows the TSan
+# sweep (one iteration — ASan failures are not schedule-dependent): the
 # block-structured to-space is exactly where a bad carve would read out of
 # bounds, and the chaos label puts ASan inside
 # the supervisor's frame handling and the workers' replay paths, and the
@@ -65,7 +80,7 @@
 # Usage: tools/tsan_stress.sh [iterations] [base-seed] [--asan]
 #   iterations  number of seeds to try        (default 20)
 #   base-seed   first seed; i-th run uses base-seed + i  (default 1)
-#   --asan      also build with PARHASK_SANITIZE=address and run `-L 'gc|chaos|serving|bytecode'`
+#   --asan      also build with PARHASK_SANITIZE=address and run `-L 'gc|chaos|serving|bytecode|parker'`
 set -euo pipefail
 
 run_asan=0
@@ -105,7 +120,7 @@ reap_leaked_workers() {
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
 passes=(
-  "ctest -L 'schedtest|threaded|gc|eden_rt|chaos|serving|bytecode' --output-on-failure"
+  "ctest -L 'schedtest|threaded|gc|eden_rt|chaos|serving|bytecode|parker' --output-on-failure"
   "ctest -L 'serving|chaos' -j8 --output-on-failure"
 )
 
@@ -127,13 +142,13 @@ done
 
 if [[ $fail -eq 0 && $run_asan -eq 1 ]]; then
   asan_dir=${ASAN_BUILD_DIR:-"$repo_root/build-asan"}
-  echo "=== tsan_stress: ASan pass over the gc, chaos and serving labels ==="
+  echo "=== tsan_stress: ASan pass over the gc, chaos, serving, bytecode and parker labels ==="
   cmake -B "$asan_dir" -S "$repo_root" -DPARHASK_SANITIZE=address
   cmake --build "$asan_dir" -j "$(nproc)"
-  (cd "$asan_dir" && ctest -L 'gc|chaos|serving|bytecode' --output-on-failure) || fail=1
+  (cd "$asan_dir" && ctest -L 'gc|chaos|serving|bytecode|parker' --output-on-failure) || fail=1
   reap_leaked_workers "$(cd "$asan_dir" && pwd -P)" || fail=1
   if [[ $fail -ne 0 ]]; then
-    echo "tsan_stress: ASan FAILURE (ctest -L 'gc|chaos|serving|bytecode' in $asan_dir)" >&2
+    echo "tsan_stress: ASan FAILURE (ctest -L 'gc|chaos|serving|bytecode|parker' in $asan_dir)" >&2
   fi
 fi
 
